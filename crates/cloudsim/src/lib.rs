@@ -10,8 +10,7 @@
 //!
 //! * [`provider`] — data-driven provider profiles (regions, tiers,
 //!   prices, interconnect policy) and multi-provider world specs;
-//! * [`region`] — the legacy GCP region statics (deprecated shims over
-//!   the `gcp` provider profile);
+//! * [`region`] — the GCP region table the `gcp` profile is built from;
 //! * [`vm`] — machine types, VM lifecycle, per-VM `tc` caps;
 //! * [`bucket`] — an object store for raw results;
 //! * [`billing`] — the price schedule and usage metering;

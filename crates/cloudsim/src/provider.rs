@@ -11,9 +11,8 @@
 //!
 //! Three profiles are built in:
 //!
-//! * **gcp** — the paper's provider, byte-identical to the legacy
-//!   statics (its regions are defined *from* [`crate::region::REGIONS`],
-//!   so provider-scoped lookups return exactly the old values);
+//! * **gcp** — the paper's provider, its regions built from the static
+//!   [`crate::region::GCP_REGIONS`] table;
 //! * **nimbus** — a second public cloud with its own regions, cheaper
 //!   egress, and the same dual-tier service model;
 //! * **metalstack** — an OpenStack-style private cloud: one service
@@ -117,8 +116,7 @@ impl InterconnectPolicy {
     }
 }
 
-/// One region of a provider: the data-driven replacement for the
-/// `&'static` [`crate::region::Region`].
+/// One region of a provider.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionSpec {
     /// Region name, e.g. `us-west1`.
@@ -218,9 +216,8 @@ impl ProviderProfile {
         self.tiers == TierPolicy::DualTier
     }
 
-    /// The GCP-alike profile the paper measured: defined from the legacy
-    /// static region table, so provider-scoped lookups return exactly
-    /// the values `Region::by_name` and friends did.
+    /// The GCP-alike profile the paper measured, its regions built from
+    /// the static [`GCP_REGIONS`] table.
     pub fn gcp() -> &'static ProviderProfile {
         static GCP: OnceLock<ProviderProfile> = OnceLock::new();
         GCP.get_or_init(|| ProviderProfile {
@@ -736,16 +733,14 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(deprecated)]
     fn gcp_profile_matches_legacy_statics() {
-        use crate::region::REGIONS;
         let gcp = ProviderProfile::gcp();
-        assert_eq!(gcp.regions.len(), REGIONS.len());
-        for (spec, legacy) in gcp.regions.iter().zip(REGIONS) {
-            assert_eq!(spec.name, legacy.name);
-            assert_eq!(spec.city, legacy.city);
-            assert_eq!(spec.zones, legacy.zones);
-            assert_eq!(spec.zone_name(0), legacy.zone_name(0));
+        assert_eq!(gcp.regions.len(), GCP_REGIONS.len());
+        for (spec, row) in gcp.regions.iter().zip(GCP_REGIONS) {
+            assert_eq!(spec.name, row.name);
+            assert_eq!(spec.city, row.city);
+            assert_eq!(spec.zones, row.zones);
+            assert_eq!(spec.zone_name(0), format!("{}-a", row.name));
         }
         assert_eq!(gcp.topo_regions().len(), 5);
         assert_eq!(gcp.diff_regions().len(), 3);

@@ -1,4 +1,4 @@
-//! Legacy cloud-region statics (deprecated).
+//! The GCP region table.
 //!
 //! The paper measures from six GCP regions plus us-west4 in the
 //! variability analysis: us-west1 (The Dalles, OR), us-west2 (Los
@@ -6,24 +6,13 @@
 //! us-east4 (Ashburn, VA), us-central1 (Council Bluffs, IA), and
 //! europe-west1 (St. Ghislain, Belgium).
 //!
-//! These statics baked a single provider into the crate. The lookups
-//! are now deprecated shims over [`crate::provider::ProviderProfile::gcp`],
-//! which is defined *from* [`GCP_REGIONS`] — so the shims return exactly
-//! the values they always did. New code should resolve regions through
-//! a provider profile:
-//!
-//! | legacy call | provider-scoped replacement |
-//! |---|---|
-//! | `Region::by_name(n)` | `ProviderProfile::gcp().region(n)` |
-//! | `Region::topology_regions()` | `ProviderProfile::gcp().topo_regions()` |
-//! | `Region::differential_regions()` | `ProviderProfile::gcp().diff_regions()` |
-//! | `Region::variability_regions()` | `ProviderProfile::gcp().var_regions()` |
+//! This is plain data: [`crate::provider::ProviderProfile::gcp`] builds
+//! its region set from [`GCP_REGIONS`], and every lookup goes through a
+//! provider profile (`ProviderProfile::gcp().region(name)`, its
+//! `topo_regions()`, `diff_regions()` and `var_regions()`).
 
-use serde::{Deserialize, Serialize};
-use simnet::geo::{CityDb, CityId};
-
-/// A cloud region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One row of a static region table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     /// GCP-style region name.
     pub name: &'static str,
@@ -33,8 +22,8 @@ pub struct Region {
     pub zones: u8,
 }
 
-/// The GCP regions CLASP deployed to — the source data for
-/// [`crate::provider::ProviderProfile::gcp`].
+/// The GCP regions CLASP deployed to — the table
+/// [`crate::provider::ProviderProfile::gcp`] is built from.
 pub const GCP_REGIONS: &[Region] = &[
     Region {
         name: "us-west1",
@@ -73,77 +62,24 @@ pub const GCP_REGIONS: &[Region] = &[
     },
 ];
 
-/// Legacy unscoped alias of [`GCP_REGIONS`].
-#[deprecated(note = "use GCP_REGIONS, or resolve regions through a provider profile")]
-pub const REGIONS: &[Region] = GCP_REGIONS;
-
-impl Region {
-    /// Looks a region up by name.
-    #[deprecated(note = "use ProviderProfile::gcp().region(name) or a world's provider")]
-    pub fn by_name(name: &str) -> Option<&'static Region> {
-        let gcp = crate::provider::ProviderProfile::gcp();
-        gcp.region_index(name).map(|i| &GCP_REGIONS[i])
-    }
-
-    /// Resolves the region's host city in the city table.
-    pub fn city_id(&self, cities: &CityDb) -> CityId {
-        cities
-            .by_name(self.city)
-            // clasp-lint: allow(P002) -- static GCP table; every entry resolves (builtin_lookup_and_cities_resolve)
-            .expect("region cities are in the built-in table")
-    }
-
-    /// Zone name, e.g. `us-west1-b` for index 1.
-    pub fn zone_name(&self, index: u8) -> String {
-        assert!(index < self.zones, "zone index out of range");
-        format!("{}-{}", self.name, (b'a' + index) as char)
-    }
-
-    /// Resolves one of the GCP profile's role lists back to the statics.
-    fn gcp_role(names: &[String]) -> Vec<&'static Region> {
-        let gcp = crate::provider::ProviderProfile::gcp();
-        names
-            .iter()
-            .map(|n| &GCP_REGIONS[gcp.region_index(n).expect("role regions are defined")])
-            .collect()
-    }
-
-    /// The regions used for the topology-based measurements (Table 1).
-    #[deprecated(note = "use ProviderProfile::gcp().topo_regions()")]
-    pub fn topology_regions() -> Vec<&'static Region> {
-        Self::gcp_role(&crate::provider::ProviderProfile::gcp().topology_regions)
-    }
-
-    /// The regions used for the differential-based measurements (§4).
-    #[deprecated(note = "use ProviderProfile::gcp().diff_regions()")]
-    pub fn differential_regions() -> Vec<&'static Region> {
-        Self::gcp_role(&crate::provider::ProviderProfile::gcp().differential_regions)
-    }
-
-    /// The six regions of the Fig. 2 variability analysis.
-    #[deprecated(note = "use ProviderProfile::gcp().var_regions()")]
-    pub fn variability_regions() -> Vec<&'static Region> {
-        Self::gcp_role(&crate::provider::ProviderProfile::gcp().variability_regions)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
+    use crate::provider::ProviderProfile;
+    use simnet::geo::CityDb;
 
     #[test]
     fn seven_regions_defined() {
-        assert_eq!(REGIONS.len(), 7);
-        assert!(Region::by_name("us-west1").is_some());
-        assert!(Region::by_name("europe-west1").is_some());
-        assert!(Region::by_name("mars-north1").is_none());
+        let gcp = ProviderProfile::gcp();
+        assert_eq!(gcp.regions.len(), 7);
+        assert!(gcp.region("us-west1").is_some());
+        assert!(gcp.region("europe-west1").is_some());
+        assert!(gcp.region("mars-north1").is_none());
     }
 
     #[test]
     fn all_region_cities_resolve() {
         let cities = CityDb;
-        for r in REGIONS {
+        for r in &ProviderProfile::gcp().regions {
             let id = r.city_id(&cities);
             assert_eq!(cities.get(id).name, r.city);
         }
@@ -151,7 +87,7 @@ mod tests {
 
     #[test]
     fn zone_names() {
-        let r = Region::by_name("us-east1").unwrap();
+        let r = ProviderProfile::gcp().region("us-east1").unwrap();
         assert_eq!(r.zone_name(0), "us-east1-a");
         assert_eq!(r.zone_name(3), "us-east1-d");
     }
@@ -159,19 +95,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "zone index")]
     fn zone_index_bounds() {
-        Region::by_name("us-west1").unwrap().zone_name(3);
+        ProviderProfile::gcp()
+            .region("us-west1")
+            .unwrap()
+            .zone_name(3);
     }
 
     #[test]
     fn paper_region_groupings() {
-        assert_eq!(Region::topology_regions().len(), 5);
-        assert_eq!(Region::differential_regions().len(), 3);
-        assert_eq!(Region::variability_regions().len(), 6);
-        assert!(Region::differential_regions()
-            .iter()
-            .any(|r| r.name == "europe-west1"));
-        assert!(Region::variability_regions()
-            .iter()
-            .all(|r| r.name.starts_with("us-")));
+        let gcp = ProviderProfile::gcp();
+        assert_eq!(gcp.topo_regions().len(), 5);
+        assert_eq!(gcp.diff_regions().len(), 3);
+        assert_eq!(gcp.var_regions().len(), 6);
+        assert!(gcp.diff_regions().iter().any(|r| r.name == "europe-west1"));
+        assert!(gcp.var_regions().iter().all(|r| r.name.starts_with("us-")));
     }
 }

@@ -43,8 +43,9 @@
 //! fault summary and per-region data completeness.
 //!
 //! `--jobs N` runs the campaign on N worker threads; `--jobs 0` (the
-//! default) uses the machine's available parallelism, `--jobs 1` forces
-//! the serial path. Results are bit-identical at every setting.
+//! default) uses the machine's available parallelism, `--jobs 1` runs
+//! every phase on the calling thread. Results are bit-identical at every
+//! setting.
 //!
 //! `--metrics FILE` / `--trace FILE` attach a deterministic observer to
 //! the run and write its canonical metrics / trace JSON — byte-identical

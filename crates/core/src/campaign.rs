@@ -13,7 +13,7 @@
 
 use crate::exec;
 use crate::pipeline;
-use crate::plan::{self, DeploymentPlan};
+use crate::plan;
 use crate::select::differential::{self, DifferentialSelection, PreTestConfig};
 use crate::select::topology::{self, PilotConfig, TopologySelection};
 use crate::world::World;
@@ -53,27 +53,16 @@ pub struct CampaignConfig {
     /// Retain raw bucket objects after ingestion (memory-hungry at full
     /// scale; the real CLASP applies a lifecycle policy too).
     pub keep_raw: bool,
-    /// Probability a VM misses a whole hour (maintenance, crash-loop,
-    /// cron failure). Real longitudinal datasets have gaps; the analysis
-    /// must tolerate them. Defaults to 0 so figures stay exactly
-    /// reproducible.
-    ///
-    /// **Deprecated**: this knob is now a thin shim over
-    /// [`FaultPlan::legacy_outage`] — the draws are bit-identical to the
-    /// old inline implementation, so existing seeds reproduce the same
-    /// gaps, but new code should configure [`Self::fault_plan`] instead,
-    /// which types the faults, logs ground truth, and lets the
-    /// orchestrator retry its way past the recoverable ones.
-    pub outage_rate: f64,
     /// Fault-injection plan for the run. [`FaultPlan::none`] (the
     /// default) is bitwise invisible: the campaign output is identical
     /// to a build without any fault hooks.
     pub fault_plan: FaultPlan,
-    /// Worker threads for campaign execution. `1` takes the serial
-    /// path; `0` means "use the machine's available parallelism". Any
-    /// value produces bit-identical results — units run on independent
-    /// seeded RNG streams and their outputs are merged in canonical
-    /// order — so this knob trades wall-clock only, never output.
+    /// Worker threads for campaign execution; `0` means "use the
+    /// machine's available parallelism", and `1` runs every phase
+    /// inline on the caller's thread. Any value produces bit-identical
+    /// results — units run on independent seeded RNG streams and their
+    /// outputs are merged in canonical order — so this knob trades
+    /// wall-clock only, never output.
     pub jobs: usize,
 }
 
@@ -101,7 +90,6 @@ impl CampaignConfig {
             pilot: PilotConfig::default(),
             pretest: PreTestConfig::default(),
             keep_raw: false,
-            outage_rate: 0.0,
             fault_plan: FaultPlan::none(),
             jobs: 1,
         }
@@ -126,31 +114,21 @@ impl CampaignConfig {
                 ..PreTestConfig::default()
             },
             keep_raw: true,
-            outage_rate: 0.0,
             fault_plan: FaultPlan::none(),
             jobs: 1,
         }
     }
 
-    /// The effective fault plan: [`Self::fault_plan`] with the
-    /// deprecated [`Self::outage_rate`] folded in as a legacy shim.
-    pub fn effective_fault_plan(&self) -> FaultPlan {
-        let mut plan = self.fault_plan.clone();
-        if self.outage_rate > 0.0 {
-            plan.legacy_outage_rate = self.outage_rate;
-        }
-        plan
-    }
-
-    /// The worker count [`Self::jobs`] resolves to: itself, or the
-    /// machine's available parallelism when set to `0`.
-    pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism()
+    /// The worker count a run uses: `requested` (a
+    /// [`Runner::jobs`](crate::runner::Runner::jobs) override) or else
+    /// [`Self::jobs`], with `0` resolved to the machine's available
+    /// parallelism.
+    pub fn effective_jobs(&self, requested: Option<usize>) -> usize {
+        match requested.unwrap_or(self.jobs) {
+            0 => std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
+                .unwrap_or(1),
+            n => n,
         }
     }
 }
@@ -181,15 +159,24 @@ pub struct CampaignResult {
     /// fault plan this reconciles exactly against [`Self::fault_log`].
     pub completeness: CompletenessReport,
     /// One checkpoint per completed work unit (JSON). Feeding any of
-    /// them to [`Campaign::resume`] re-produces the identical final
-    /// result without re-running the completed units.
+    /// them to [`Runner::resume_from`](crate::runner::Runner::resume_from)
+    /// re-produces the identical final result without re-running the
+    /// completed units.
     pub checkpoints: Vec<serde_json::Value>,
 }
 
-/// One entry in the campaign's ordered, checkpointable work-unit list.
+/// What a work unit measures.
 enum UnitKind {
     Topo { budget: usize },
     Diff,
+}
+
+/// One entry in the campaign's ordered, checkpointable work-unit list,
+/// with its region already resolved against the world's provider.
+struct Unit<'w> {
+    label: String,
+    region: &'w RegionSpec,
+    kind: UnitKind,
 }
 
 /// Cumulative campaign state, restored from a checkpoint or fresh.
@@ -280,14 +267,14 @@ enum UnitSel {
     Diff(DifferentialSelection),
 }
 
-/// Phase-1 output of a parallel run: one prepared unit.
+/// Phase-1 output: one prepared unit.
 struct UnitPrep<'w> {
     sel: UnitSel,
     /// Total VMs the unit's plan deploys (topo only; diff counts per VM
     /// at merge). Zero for already-completed units.
     n_vms: usize,
-    /// VM task descriptors, in the serial run's execution order. Empty
-    /// for already-completed units.
+    /// VM task descriptors, in canonical execution order. Empty for
+    /// already-completed units.
     vms: Vec<VmTask<'w>>,
     /// `(vm name, servers assigned, tests expected)` for every VM the
     /// unit's plan deploys — computed even for completed units, so
@@ -323,7 +310,7 @@ struct VmTask<'w> {
 }
 
 /// Everything one VM's campaign produced, buffered for the ordered
-/// merge. All cross-VM shared state in the serial run decomposes into
+/// merge. All cross-VM shared state of a unit decomposes into
 /// order-free parts: fault ids rebase on append, completeness and
 /// transfer tallies are unsigned sums, bucket keys are disjoint per VM.
 struct VmOutput {
@@ -387,22 +374,6 @@ impl<'w> Campaign<'w> {
         &self.world.provider
     }
 
-    /// Runs the whole campaign from the start.
-    #[deprecated(note = "use `Campaign::runner().run()`")]
-    pub fn run(&self) -> CampaignResult {
-        self.runner().run().expect("fresh runs cannot fail")
-    }
-
-    /// Resumes a campaign from a checkpoint taken by a previous run.
-    /// Completed work units are not re-executed: their selections are
-    /// re-derived (they are pure functions of world + config) and their
-    /// raw data replayed from the checkpoint's durable bucket snapshot,
-    /// producing a final result identical to an uninterrupted run.
-    #[deprecated(note = "use `Campaign::runner().resume_from(ckpt).run()`")]
-    pub fn resume(&self, checkpoint: &serde_json::Value) -> Result<CampaignResult, String> {
-        self.runner().resume_from(checkpoint).run()
-    }
-
     /// Builds a [`StreamEngine`](clasp_stream::StreamEngine) wired to
     /// this campaign's world (server-local UTC offsets resolved from the
     /// registry, like the batch analysis does).
@@ -410,10 +381,11 @@ impl<'w> Campaign<'w> {
         clasp_stream::StreamEngine::new(cfg, self.world.server_utc_offsets())
     }
 
-    /// Restores a streaming engine from a checkpoint taken by
-    /// [`Self::run_streaming`]. Checkpoints without stream state (from a
-    /// non-streaming run) yield a fresh engine, which
-    /// [`Self::resume_streaming`] then catches up via replay.
+    /// Restores a streaming engine from a checkpoint taken by a
+    /// streaming run. Checkpoints without stream state (from a
+    /// non-streaming run) yield a fresh engine, which a resumed
+    /// streaming [`Runner`](crate::runner::Runner) then catches up via
+    /// replay.
     pub fn restore_stream_engine(
         &self,
         cfg: clasp_stream::EngineConfig,
@@ -427,340 +399,77 @@ impl<'w> Campaign<'w> {
         }
     }
 
-    /// Runs the campaign with live streaming detection: the engine
-    /// subscribes a bounded tail to the database insert stream, consumes
-    /// every ingested point as it lands, and is finalized when the run
-    /// completes. Checkpoints taken along the way embed the engine
-    /// snapshot under `"stream"`, so [`Self::resume_streaming`] can
-    /// continue both the campaign and the detection state.
-    #[deprecated(note = "use `Campaign::runner().streaming(engine).run()`")]
-    pub fn run_streaming(&self, engine: &mut clasp_stream::StreamEngine) -> CampaignResult {
-        self.runner()
-            .streaming(engine)
-            .run()
-            .expect("fresh runs cannot fail")
-    }
-
-    /// Resumes a streaming campaign. `engine` must come from
-    /// [`Self::restore_stream_engine`] on the same checkpoint (its
-    /// replay cursor tells the run how many re-ingested points to skip).
-    #[deprecated(note = "use `Campaign::runner().resume_from(ckpt).streaming(engine).run()`")]
-    pub fn resume_streaming(
-        &self,
-        checkpoint: &serde_json::Value,
-        engine: &mut clasp_stream::StreamEngine,
-    ) -> Result<CampaignResult, String> {
-        self.runner()
-            .resume_from(checkpoint)
-            .streaming(engine)
-            .run()
-    }
-
-    /// The single execution path behind [`crate::runner::Runner`].
-    ///
-    /// An attached observer forces the phased (parallel-shaped) path
-    /// even at `jobs = 1`: the phases are where logical time advances
-    /// and spans open, so taking the same path at every job count is
-    /// what makes the span tree byte-identical across `--jobs N`. The
-    /// un-observed serial path stays exactly the pre-observer code.
-    pub(crate) fn run_resumable(
-        &self,
-        resume: Option<&serde_json::Value>,
-        stream: Option<&mut clasp_stream::StreamEngine>,
-        observer: Option<&Observer>,
-        jobs: usize,
-    ) -> Result<CampaignResult, String> {
-        if jobs > 1 || observer.is_some() {
-            self.run_parallel(resume, stream, observer, jobs.max(1))
-        } else {
-            self.run_serial(resume, stream)
-        }
-    }
-
     /// The campaign as an ordered list of checkpointable work units:
     /// each topology region, then each differential region. This order
-    /// is the canonical one — serial execution follows it, and the
-    /// parallel merge reassembles worker output along it.
-    fn units(&self) -> Vec<(String, &str, UnitKind)> {
-        let mut units = Vec::new();
-        for (region_name, budget) in &self.config.topo_regions {
-            units.push((
-                format!("topo:{region_name}"),
-                region_name.as_str(),
-                UnitKind::Topo { budget: *budget },
-            ));
-        }
-        for region_name in &self.config.diff_regions {
-            units.push((
-                format!("diff:{region_name}"),
-                region_name.as_str(),
-                UnitKind::Diff,
-            ));
-        }
-        units
-    }
-
-    fn run_serial(
-        &self,
-        resume: Option<&serde_json::Value>,
-        mut stream: Option<&mut clasp_stream::StreamEngine>,
-    ) -> Result<CampaignResult, String> {
-        let client = SpeedTestClient::default();
-        let cron = CronSchedule::new(self.config.seed ^ 0xc407);
-        let fplan = self.config.effective_fault_plan();
-        // Link faults degrade the fluid model for every path evaluated
-        // by this session. An empty degradation set is bitwise
-        // invisible, so zero-link-fault plans reproduce old campaigns.
-        let mut session = self.world.session();
-        session.perf.set_degradations(fplan.link_degradations());
-        let session = session;
-        let mut db = Db::new();
-        // Streaming: a bounded tail mirrors every insert to the engine.
-        // On resume the engine's replay cursor (`events_seen`) skips the
-        // points re-ingested from completed units' bucket snapshots, so
-        // the engine sees each point exactly once across interruptions.
-        let tail = stream
-            .as_deref_mut()
-            .map(|engine| db.subscribe(engine.config().bus_capacity));
-        let mut replay_skip = stream.as_deref().map_or(0, |engine| engine.events_seen());
-        let mut drain = |stream: &mut Option<&mut clasp_stream::StreamEngine>| {
-            if let (Some(tail), Some(engine)) = (tail.as_ref(), stream.as_deref_mut()) {
-                tail.drain(|p| {
-                    if replay_skip > 0 {
-                        replay_skip -= 1;
-                    } else {
-                        engine.ingest(&p);
-                    }
-                });
-                engine.record_bus_overflow(tail.overflow());
-            }
-        };
-        let mut raw_objects = 0u64;
-        let mut buckets = Vec::new();
-        let mut topo_selections = Vec::new();
-        let mut diff_selections = Vec::new();
-        let mut checkpoints = Vec::new();
-        let st = ResumeState::load(resume)?;
-        let mut vm_count = st.vm_count;
-        let mut tests_run = st.tests_run;
-        let mut tainted = st.tainted;
-        let mut billing = st.billing;
-        let mut flog = st.flog;
-        let mut report = st.report;
-        let mut completed = st.completed;
-        // Durable raw snapshots of completed units, label → bucket dump.
-        let mut raw_store = st.raw_store;
-        record_link_faults(&fplan, resume.is_none(), &mut flog);
-
-        let diff_start = SimTime((self.config.days - self.config.diff_days) * SECONDS_PER_DAY);
-
-        for (label, region_name, unit) in self.units() {
-            let region = self
-                .world
+    /// is the canonical one the merge reassembles worker output along.
+    /// Every region resolves here, once, so an unknown name fails the
+    /// run before any work starts.
+    fn units(&self) -> Result<Vec<Unit<'w>>, String> {
+        let world: &'w World = self.world;
+        let region = |name: &str| {
+            world
                 .provider
-                .region(region_name)
-                .ok_or_else(|| format!("campaign: unknown region {region_name}"))?;
-            let region_city = region.city_id(&self.world.topo.cities);
-            let done = completed.iter().any(|c| c == &label);
-
-            match unit {
-                UnitKind::Topo { budget } => {
-                    // Selection is a pure function of world + config:
-                    // recomputed identically whether resuming or not.
-                    let sel = topology::select(
-                        self.world,
-                        &session.paths,
-                        &region.name,
-                        region_city,
-                        budget,
-                        &self.config.pilot,
-                    );
-                    let mut bucket = if done {
-                        bucket_from_snapshot(&raw_store, &label)?
-                    } else {
-                        Bucket::new(region.name.clone())
-                    };
-                    if !done {
-                        let plan = plan::plan_region(region, &sel.servers, &cron);
-                        self.run_region_loop(
-                            &session,
-                            &client,
-                            &cron,
-                            region,
-                            &plan,
-                            Tier::Premium,
-                            "topo",
-                            SimTime::EPOCH,
-                            self.config.days,
-                            &mut bucket,
-                            &mut billing,
-                            &mut tests_run,
-                            &mut tainted,
-                            &fplan,
-                            &mut flog,
-                            &mut report,
-                            &region.name,
-                        );
-                        vm_count += plan.n_vms;
-                        billing.record_vm_hours(
-                            MachineType::N1Standard2,
-                            plan.n_vms as f64 * self.config.days as f64 * 24.0,
-                        );
-                        billing
-                            .record_storage(bucket.stored_bytes(), self.config.days as f64 * 24.0);
-                        raw_store.push((
-                            label.clone(),
-                            std::sync::Arc::new(bucket_snapshot(&bucket, &label)),
-                        ));
-                        completed.push(label.clone());
-                    }
-                    let stats = pipeline::ingest(&bucket, &mut db);
-                    drain(&mut stream);
-                    raw_objects += stats.objects;
-                    if self.config.keep_raw {
-                        buckets.push(bucket);
-                    }
-                    topo_selections.push(sel);
-                }
-                UnitKind::Diff => {
-                    let sel = differential::select(
-                        self.world,
-                        &session.paths,
-                        &session.perf,
-                        &region.name,
-                        region_city,
-                        &self.config.pretest,
-                    );
-                    let mut bucket = if done {
-                        bucket_from_snapshot(&raw_store, &label)?
-                    } else {
-                        Bucket::new(format!("{}-diff", region.name))
-                    };
-                    if !done {
-                        let servers: Vec<String> =
-                            sel.picks.iter().map(|p| p.server_id.clone()).collect();
-                        for tier in [Tier::Premium, Tier::Standard] {
-                            let plan = DeploymentPlan {
-                                region: region.name.clone(),
-                                n_vms: 1,
-                                assignments: vec![servers.clone()],
-                            };
-                            let comp_label = format!("{}-diff-{}", region.name, tier.label());
-                            self.run_region_loop(
-                                &session,
-                                &client,
-                                &cron,
-                                region,
-                                &plan,
-                                tier,
-                                "diff",
-                                diff_start,
-                                self.config.diff_days,
-                                &mut bucket,
-                                &mut billing,
-                                &mut tests_run,
-                                &mut tainted,
-                                &fplan,
-                                &mut flog,
-                                &mut report,
-                                &comp_label,
-                            );
-                            vm_count += 1;
-                            billing.record_vm_hours(
-                                MachineType::N1Standard2,
-                                self.config.diff_days as f64 * 24.0,
-                            );
-                        }
-                        billing.record_storage(
-                            bucket.stored_bytes(),
-                            self.config.diff_days as f64 * 24.0,
-                        );
-                        raw_store.push((
-                            label.clone(),
-                            std::sync::Arc::new(bucket_snapshot(&bucket, &label)),
-                        ));
-                        completed.push(label.clone());
-                    }
-                    let stats = pipeline::ingest(&bucket, &mut db);
-                    drain(&mut stream);
-                    raw_objects += stats.objects;
-                    if self.config.keep_raw {
-                        buckets.push(bucket);
-                    }
-                    diff_selections.push(sel);
-                }
-            }
-
-            // Periodic checkpoint: everything needed to resume after
-            // this unit, with the raw bucket dumps as durable storage.
-            // Streaming runs additionally embed the engine snapshot, so
-            // detection state survives the interruption too.
-            let mut ckpt = make_checkpoint(
-                &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
-            );
-            if let Some(engine) = stream.as_deref() {
-                if let serde_json::Value::Object(m) = &mut ckpt {
-                    m.insert("stream".into(), engine.snapshot());
-                }
-            }
-            checkpoints.push(ckpt);
+                .region(name)
+                .ok_or_else(|| format!("campaign: unknown region {name}"))
+        };
+        let mut units = Vec::new();
+        for (name, budget) in &self.config.topo_regions {
+            units.push(Unit {
+                label: format!("topo:{name}"),
+                region: region(name)?,
+                kind: UnitKind::Topo { budget: *budget },
+            });
         }
-
-        // Checkpoints carry the raw expected/collected tallies; the
-        // fault outcomes are folded in exactly once, here, so a resumed
-        // run absorbs each fault a single time.
-        report.absorb_log(&flog);
-
-        Ok(CampaignResult {
-            db,
-            topo_selections,
-            diff_selections,
-            billing,
-            vm_count,
-            tests_run,
-            tainted_tests: tainted,
-            raw_objects,
-            buckets,
-            fault_log: flog,
-            completeness: report,
-            checkpoints,
-        })
+        for name in &self.config.diff_regions {
+            units.push(Unit {
+                label: format!("diff:{name}"),
+                region: region(name)?,
+                kind: UnitKind::Diff,
+            });
+        }
+        Ok(units)
     }
 
-    /// The parallel path behind `--jobs N`, in three phases: per-unit
-    /// prep (selection + deployment plan) scattered across workers,
-    /// per-VM campaign loops scattered across workers into VM-local
-    /// buffers, then a serial merge in canonical unit order that
-    /// replays exactly the mutation sequence [`Self::run_serial`]
-    /// performs. Every output — points, checkpoints, fault ids,
-    /// billing, completeness rows, stream labels — is therefore
-    /// bit-identical to `--jobs 1`:
+    /// The one execution path behind [`crate::runner::Runner`], for
+    /// every mode: any job count, observed or not, batch or streaming,
+    /// fresh or resumed. Per-unit prep (selection + deployment plan)
+    /// and per-VM campaign loops are scattered across workers into
+    /// VM-local buffers — inline on the caller's thread at `jobs = 1` —
+    /// then merged in canonical unit order. An observer is only a sink:
+    /// it opens a span per phase and counts, but never changes what
+    /// runs. Every output — points, checkpoints, fault ids, billing,
+    /// completeness rows, stream labels — is bit-identical at every job
+    /// count:
     ///
     /// * fault ids are log positions, so appending VM-local logs in
-    ///   canonical order with an id rebase reproduces serial ids;
+    ///   canonical order with an id rebase reproduces one shared log;
     /// * completeness tallies and transfer bytes are unsigned sums,
     ///   which commute;
     /// * VM-hour and storage meters are `f64` (non-associative), so the
-    ///   merge re-issues those ops in serial order instead of summing
-    ///   worker partials;
+    ///   merge issues those ops in canonical unit order instead of
+    ///   summing worker partials;
     /// * bucket keys are disjoint per VM and `BTreeMap`-stored, so
     ///   absorb order cannot change the listing, and sorting the
-    ///   per-VM decoded objects by key reproduces the serial ingest
-    ///   order — which is what the streaming engine consumes.
-    fn run_parallel(
+    ///   per-VM decoded objects by key reproduces the unit bucket's
+    ///   listing order — which is what the streaming engine consumes.
+    pub(crate) fn run_resumable(
         &self,
         resume: Option<&serde_json::Value>,
         mut stream: Option<&mut clasp_stream::StreamEngine>,
         observer: Option<&Observer>,
         jobs: usize,
     ) -> Result<CampaignResult, String> {
+        let units = self.units()?;
         let client = SpeedTestClient::default();
         let base_cron = CronSchedule::new(self.config.seed ^ 0xc407);
-        let fplan = self.config.effective_fault_plan();
+        let fplan = &self.config.fault_plan;
         let mut db = Db::new();
-        // Streaming: the bounded tail and replay cursor work exactly as
-        // in the serial path — the engine only ever sees the merged,
-        // canonically-ordered point stream.
+        // Streaming: a bounded tail mirrors every insert to the engine,
+        // which only ever sees the merged, canonically-ordered point
+        // stream. On resume the engine's replay cursor (`events_seen`)
+        // skips the points re-ingested from completed units' bucket
+        // snapshots, so the engine sees each point exactly once across
+        // interruptions.
         let tail = stream
             .as_deref_mut()
             .map(|engine| db.subscribe(engine.config().bus_capacity));
@@ -787,33 +496,23 @@ impl<'w> Campaign<'w> {
         let mut completed = st.completed;
         let mut raw_store = st.raw_store;
         let mut exec_metrics = st.exec_metrics;
-        record_link_faults(&fplan, resume.is_none(), &mut flog);
+        record_link_faults(fplan, resume.is_none(), &mut flog);
         let mut raw_objects = 0u64;
         let mut buckets = Vec::new();
         let mut topo_selections = Vec::new();
         let mut diff_selections = Vec::new();
         let mut checkpoints = Vec::new();
 
-        let units = self.units();
-        let done: Vec<bool> = units
-            .iter()
-            .map(|(label, _, _)| completed.iter().any(|c| c == label))
-            .collect();
+        let done: Vec<bool> = units.iter().map(|u| completed.contains(&u.label)).collect();
         let diff_start = SimTime((self.config.days - self.config.diff_days) * SECONDS_PER_DAY);
 
-        // Phase 1: per-unit prep — selections (pure functions of world
-        // + config, recomputed identically whether resuming or not) and
-        // the VM task descriptors of pending units. Each worker builds
-        // one session and keeps it warm across its units: the Paths
-        // route cache is memoization only, so cache state can never
-        // change a result — only skip recomputation.
         // Phase 0: routing-table warm. A pilot scan traceroutes every
-        // non-cloud AS, so the serial run's single session ends up with
-        // one routing table per AS; per-worker sessions would recompute
-        // that whole set once per worker. Each table is an independent
-        // pure function of the topology, so compute the full set here —
-        // fanned out across the same worker pool — and seed every
-        // session below with the shared result.
+        // non-cloud AS, so a session ends up with one routing table per
+        // AS; per-worker sessions would recompute that whole set once
+        // per worker. Each table is an independent pure function of the
+        // topology, so compute the full set here — fanned out across
+        // the same worker pool — and seed every session below with the
+        // shared result.
         let dsts: Vec<simnet::topology::AsId> = std::iter::once(self.world.topo.cloud)
             .chain(self.world.topo.non_cloud_ases())
             .collect();
@@ -839,6 +538,12 @@ impl<'w> Campaign<'w> {
         }
         drop(span0);
 
+        // Phase 1: per-unit prep — selections (pure functions of world
+        // + config, recomputed identically whether resuming or not) and
+        // the VM task descriptors of pending units. Each worker builds
+        // one session and keeps it warm across its units: the Paths
+        // route cache is memoization only, so cache state can never
+        // change a result — only skip recomputation.
         let span1 = observer.map(|o| o.span("phase1:unit_prep"));
         let degradations = fplan.link_degradations();
         let (preps, shards): (Vec<UnitPrep>, _) = exec::scatter_metered(
@@ -851,12 +556,7 @@ impl<'w> Campaign<'w> {
             },
             |session, shard, i| {
                 shard.inc("prep.units", 1);
-                let (_, region_name, kind) = &units[i];
-                let region = self
-                    .world
-                    .provider
-                    .region(region_name)
-                    .expect("known region");
+                let Unit { region, kind, .. } = &units[i];
                 let region_city = region.city_id(&self.world.topo.cities);
                 match kind {
                     UnitKind::Topo { budget } => {
@@ -977,7 +677,7 @@ impl<'w> Campaign<'w> {
             // unit label + VM name so topo and diff VMs sharing a
             // region cannot collide.
             obs.with_metrics(|m| {
-                for (prep, (label, _, _)) in preps.iter().zip(&units) {
+                for (prep, Unit { label, .. }) in preps.iter().zip(&units) {
                     for (vm, assigned, expected) in &prep.vm_plan {
                         m.inc(&format!("vm.{label}/{vm}.assigned"), *assigned);
                         m.inc(&format!("vm.{label}/{vm}.expected_tests"), *expected);
@@ -1004,11 +704,7 @@ impl<'w> Campaign<'w> {
             },
             |session, t| {
                 let task = tasks[t];
-                let region = self
-                    .world
-                    .provider
-                    .region(units[task.unit].1)
-                    .expect("known region");
+                let region = units[task.unit].region;
                 let salt = tier_salt(task.tier);
                 let cron = CronSchedule {
                     budget: base_cron.budget,
@@ -1047,13 +743,13 @@ impl<'w> Campaign<'w> {
                     &mut out.billing,
                     &mut out.tests_run,
                     &mut out.tainted,
-                    &fplan,
+                    fplan,
                     &mut out.flog,
                     &mut out.report,
                     vm_metrics.as_mut(),
                 );
                 if let Some(m) = vm_metrics.as_mut() {
-                    let label = &units[task.unit].0;
+                    let label = &units[task.unit].label;
                     let vm = format!(
                         "clasp-{}-{}-{}",
                         region.name,
@@ -1065,12 +761,12 @@ impl<'w> Campaign<'w> {
                     m.inc("exec.tests_tainted", out.tainted);
                 }
                 // Decode (parse) this VM's own uploads while still on the
-                // worker; the serial merge then only has to index them.
+                // worker; the merge then only has to index them.
                 // With a single worker there is no decode parallelism to
                 // win, and the parsed points of *every* VM would sit in
                 // memory at once — the dominant peak-memory cost of a
-                // long campaign — so the jobs=1 path defers decoding to
-                // the per-unit merge loop, where one unit's points are
+                // long campaign — so at jobs = 1 decoding waits for the
+                // per-unit merge loop, where one object's points are
                 // alive at a time.
                 out.decoded = if jobs > 1 {
                     pipeline::decode_bucket(&out.bucket)
@@ -1082,6 +778,10 @@ impl<'w> Campaign<'w> {
             },
         );
         drop(tasks);
+        // The merge builds no session, so the route tables — one per
+        // AS, over 100 MB on the paper world — go before the database
+        // grows to its full size.
+        drop(tables);
         if let Some(obs) = observer {
             // Logical time covers *planned* VMs (vm_plan includes the
             // completed units' VMs), so resumed runs advance the clock
@@ -1090,14 +790,16 @@ impl<'w> Campaign<'w> {
         }
         drop(span2);
 
-        // Phase 3: serial merge in canonical unit order — the exact
-        // mutation sequence run_serial performs, replayed from the
-        // buffered worker outputs.
+        // Phase 3: merge in canonical unit order on the caller's thread,
+        // one unit at a time, from the buffered worker outputs.
         let span3 = observer.map(|o| o.span("phase3:merge"));
         let mut out_iter = outputs.into_iter();
         for (i, (unit, prep)) in units.iter().zip(preps).enumerate() {
-            let (label, _, kind) = unit;
-            let region = self.world.provider.region(unit.1).expect("known region");
+            let Unit {
+                label,
+                region,
+                kind,
+            } = unit;
             let mut bucket = if done[i] {
                 bucket_from_snapshot(&raw_store, label)?
             } else {
@@ -1108,8 +810,9 @@ impl<'w> Campaign<'w> {
             };
             let mut unit_decoded: Vec<pipeline::DecodedObject> = Vec::new();
             if !done[i] {
-                for _ in 0..prep.vms.len() {
-                    let vo = out_iter.next().expect("one output per task");
+                // Outputs come back in task order, which is unit order:
+                // this unit's are the next `prep.vms.len()` of them.
+                for vo in out_iter.by_ref().take(prep.vms.len()) {
                     // Shards merge in canonical VM order (u64 sums, so
                     // order is cosmetic); the cumulative registry is
                     // what checkpoints persist for completed units.
@@ -1117,7 +820,7 @@ impl<'w> Campaign<'w> {
                     flog.absorb(vo.flog);
                     report.merge(&vo.report);
                     // Transfer meters are u64 — safe to sum. The f64
-                    // meters below are re-issued as ops in serial order.
+                    // meters below are issued as ops in canonical order.
                     billing.premium_egress_bytes += vo.billing.premium_egress_bytes;
                     billing.standard_egress_bytes += vo.billing.standard_egress_bytes;
                     billing.ingress_bytes += vo.billing.ingress_bytes;
@@ -1157,8 +860,8 @@ impl<'w> Campaign<'w> {
                 completed.push(label.clone());
             }
             let stats = if done[i] || jobs <= 1 {
-                // Replayed units — and every unit on the single-worker
-                // path, whose phase 2 defers decoding (see above) —
+                // Replayed units — and every unit at `jobs = 1`, whose
+                // phase 2 defers decoding (see above) —
                 // stream straight out of the merged unit bucket: its
                 // `raw/` listing is lexicographic, exactly the order the
                 // sorted per-VM merge below reproduces, and only one
@@ -1170,8 +873,8 @@ impl<'w> Campaign<'w> {
                 })
             } else {
                 // Disjoint per-VM key sets merge-sort into exactly the
-                // listing order a serial ingest of the shared bucket
-                // sees (and the order the stream engine consumes).
+                // listing order of the merged unit bucket (and the
+                // order the stream engine consumes).
                 unit_decoded.sort_by(|a, b| a.key.cmp(&b.key));
                 if let Some(obs) = observer {
                     record_collected(obs, label, &unit_decoded);
@@ -1200,6 +903,10 @@ impl<'w> Campaign<'w> {
                 UnitSel::Topo(sel) => topo_selections.push(sel),
                 UnitSel::Diff(sel) => diff_selections.push(sel),
             }
+            // Periodic checkpoint: everything needed to resume after
+            // this unit, with the raw bucket dumps as durable storage.
+            // Streaming runs additionally embed the engine snapshot, so
+            // detection state survives the interruption too.
             let mut ckpt = make_checkpoint(
                 &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
             );
@@ -1222,8 +929,10 @@ impl<'w> Campaign<'w> {
         }
         drop(span3);
 
-        // Fault outcomes fold in exactly once, after all units merged —
-        // same as the serial path.
+        // Checkpoints carry the raw expected/collected tallies; the
+        // fault outcomes are folded in exactly once, here, after all
+        // units merged, so a resumed run absorbs each fault a single
+        // time.
         report.absorb_log(&flog);
         if let Some(obs) = observer {
             obs.merge_shard(&exec_metrics);
@@ -1243,59 +952,6 @@ impl<'w> Campaign<'w> {
             completeness: report,
             checkpoints,
         })
-    }
-
-    /// The hourly cron loop for one region/tier/server-assignment, with
-    /// fault injection and resilient recovery. With an empty plan every
-    /// fault query short-circuits and the loop is byte-for-byte the
-    /// pre-fault implementation. Runs each VM of the plan in order —
-    /// the canonical sequence the parallel merge reproduces.
-    #[allow(clippy::too_many_arguments)]
-    fn run_region_loop(
-        &self,
-        session: &crate::world::Session<'_>,
-        client: &SpeedTestClient,
-        cron: &CronSchedule,
-        region: &RegionSpec,
-        plan: &DeploymentPlan,
-        tier: Tier,
-        method: &str,
-        start: SimTime,
-        days: u64,
-        bucket: &mut Bucket,
-        billing: &mut Billing,
-        tests_run: &mut u64,
-        tainted: &mut u64,
-        fplan: &FaultPlan,
-        flog: &mut FaultLog,
-        report: &mut CompletenessReport,
-        comp_label: &str,
-    ) {
-        // Each VM has its own crontab: the premium and standard VMs of a
-        // differential pair test the same server within the same hour but
-        // at different minutes, like the real deployment.
-        let tier_salt = tier_salt(tier);
-        let cron = CronSchedule {
-            budget: cron.budget,
-            seed: cron.seed ^ tier_salt,
-        };
-        let params = VmLoopParams {
-            region,
-            n_vms: plan.n_vms,
-            tier,
-            tier_salt,
-            method,
-            start,
-            days,
-            comp_label,
-        };
-        for (vm_idx, assignment) in plan.assignments.iter().enumerate() {
-            let pairs = self.resolve_pairs(session, client, region, tier, assignment);
-            self.run_vm_loop(
-                session, client, &cron, &params, vm_idx, assignment, &pairs, bucket, billing,
-                tests_run, tainted, fplan, flog, report, None,
-            );
-        }
     }
 
     /// Resolves the path pair for every server in `ids` (paths are
@@ -1327,8 +983,9 @@ impl<'w> Campaign<'w> {
     }
 
     /// One VM's whole campaign: the hourly cron loop over its server
-    /// assignment, writing only into the caller's buffers. Workers call
-    /// it with VM-local buffers; the serial loop passes the shared ones.
+    /// assignment, with fault injection and resilient recovery, writing
+    /// only into the caller's VM-local buffers. With an empty fault plan
+    /// every fault query short-circuits.
     #[allow(clippy::too_many_arguments)]
     fn run_vm_loop(
         &self,
@@ -1384,9 +1041,9 @@ impl<'w> Campaign<'w> {
                 for hour in 0..24 {
                     let hour_start = start + day * SECONDS_PER_DAY + hour * HOUR;
                     let abs_hour = hour_start.hour_index();
-                    // Legacy outages (deprecated `outage_rate`): the hour
-                    // is silently lost, exactly as the old inline draw
-                    // decided — but now logged as ground truth.
+                    // Legacy outages (`FaultPlan::legacy_outage_rate`):
+                    // the hour is silently lost, exactly as the original
+                    // inline draw decided — but logged as ground truth.
                     if fplan.legacy_vm_outage(
                         self.config.seed ^ vm_idx as u64 ^ tier_salt,
                         hour_start.as_secs(),
@@ -1660,8 +1317,7 @@ fn record_collected_one(obs: &Observer, label: &str, key: &str, points: u64) {
 
 /// Records the plan's link faults into the ground-truth log, once per
 /// campaign: fresh runs append them before any unit executes (so ids
-/// precede all VM-loop faults in both the serial and the merged
-/// parallel order); resumed runs restore them from the checkpointed
+/// precede all VM-loop faults in the merged order); resumed runs restore them from the checkpointed
 /// log instead. Link faults degrade paths rather than eating VM-hours,
 /// so they are marked recovered at window end and contribute no lost
 /// server-hours to completeness reconciliation.
@@ -1978,14 +1634,16 @@ mod tests {
     #[test]
     fn legacy_outage_rate_is_faultplan_backed() {
         let world = World::tiny(121);
-        let mut legacy = CampaignConfig::small(121);
-        legacy.outage_rate = 0.10;
         let mut planned = CampaignConfig::small(121);
         planned.fault_plan = FaultPlan::legacy_outage(0.10);
-        let a = Campaign::new(&world, legacy).runner().run().unwrap();
-        let b = Campaign::new(&world, planned).runner().run().unwrap();
-        // Same draws, same gaps, same data — the deprecated knob is a
-        // pure alias for the FaultPlan shim.
+        let mut from_json = planned.clone();
+        from_json.fault_plan =
+            FaultPlan::from_json_str(&serde_json::to_string(&planned.fault_plan.to_json()))
+                .unwrap();
+        let a = Campaign::new(&world, planned).runner().run().unwrap();
+        let b = Campaign::new(&world, from_json).runner().run().unwrap();
+        // Same draws, same gaps, same data: a plan handed in as JSON
+        // carries the legacy outage rate through unchanged.
         assert_eq!(
             serde_json::to_string(a.checkpoints.last().unwrap()),
             serde_json::to_string(b.checkpoints.last().unwrap()),
@@ -2223,23 +1881,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_entrypoints_delegate_to_runner() {
+    fn unknown_region_is_an_error_in_every_mode() {
         let world = World::tiny(121);
-        let cfg = CampaignConfig::small(121);
-        let legacy = Campaign::new(&world, cfg.clone()).run();
-        let modern = Campaign::new(&world, cfg.clone()).runner().run().unwrap();
-        assert_eq!(
-            serde_json::to_string(legacy.checkpoints.last().unwrap()),
-            serde_json::to_string(modern.checkpoints.last().unwrap()),
-        );
-        let resumed = Campaign::new(&world, cfg)
-            .resume(&legacy.checkpoints[0])
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(legacy.checkpoints.last().unwrap()),
-            serde_json::to_string(resumed.checkpoints.last().unwrap()),
-        );
+        let mut cfg = CampaignConfig::small(121);
+        cfg.topo_regions = vec![("mars-north1".into(), 5)];
+        let campaign = Campaign::new(&world, cfg);
+        let obs = Observer::new();
+        for (jobs, observer) in [(1, None), (4, None), (1, Some(&obs))] {
+            let mut runner = campaign.runner().jobs(jobs);
+            if let Some(o) = observer {
+                runner = runner.observer(o);
+            }
+            let err = runner.run().err().expect("unknown region fails the run");
+            assert_eq!(err, "campaign: unknown region mars-north1", "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 /// results in task-index order.
 ///
 /// `jobs <= 1` (or a single task) runs inline on the caller's thread
-/// with no pool at all — the serial path stays the serial path. Worker
+/// with no pool at all, so `--jobs 1` pays no threading cost. Worker
 /// threads are scoped, so `task` may borrow from the caller's stack.
 ///
 /// # Panics

@@ -1,9 +1,9 @@
 //! The unified campaign entrypoint.
 //!
 //! [`Runner`] is a builder over every way a campaign can execute —
-//! fresh or resumed, batch or streaming, serial or `--jobs N`, with or
-//! without an attached [`Observer`] — collapsing what used to be five
-//! separate `Campaign` methods into one call chain:
+//! fresh or resumed, batch or streaming, at any `--jobs N`, with or
+//! without an attached [`Observer`] — in one call chain over one
+//! execution path:
 //!
 //! ```ignore
 //! let result = Campaign::new(&world, cfg)
@@ -69,35 +69,28 @@ impl<'c, 'w> Runner<'c, 'w> {
         self
     }
 
-    /// Attaches an observability sink. The run then takes the phased
-    /// execution path at every job count, so the observer's metrics
-    /// and trace JSON are byte-identical across `--jobs N` and across
-    /// checkpoint resumes. Without an observer, telemetry costs
-    /// nothing.
+    /// Attaches an observability sink. It records spans, metrics and
+    /// events but never changes what runs, so the result is identical
+    /// with or without it, and its metrics and trace JSON are
+    /// byte-identical across `--jobs N` and across checkpoint resumes.
     pub fn observer(mut self, obs: &'c Observer) -> Self {
         self.observer = Some(obs);
         self
     }
 
-    /// Executes the campaign. Fails only on a malformed checkpoint;
-    /// fresh runs cannot fail.
+    /// Executes the campaign. Fails on a region the world's provider
+    /// does not define or on a malformed checkpoint.
     pub fn run(mut self) -> Result<CampaignResult, String> {
         let root = self.observer.map(|o| o.span("campaign"));
-        let jobs = match self.jobs {
-            Some(0) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(n) => n,
-            None => self.campaign.config.effective_jobs(),
-        };
+        let jobs = self.campaign.config.effective_jobs(self.jobs);
         let result = self.campaign.run_resumable(
             self.resume,
             self.stream.as_deref_mut(),
             self.observer,
             jobs,
         )?;
-        // Finalize only on success, matching the legacy streaming
-        // entrypoints: a failed resume leaves the engine untouched.
+        // Finalize only on success: a failed run leaves the engine
+        // untouched.
         if let Some(engine) = self.stream.as_deref_mut() {
             engine.finalize();
         }

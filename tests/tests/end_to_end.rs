@@ -5,6 +5,7 @@
 use clasp_core::campaign::{Campaign, CampaignConfig, CampaignResult};
 use clasp_core::congestion::CongestionAnalysis;
 use clasp_core::world::World;
+use faultsim::FaultPlan;
 use tsdb::{Aggregate, Query};
 
 fn run(seed: u64) -> (World, CampaignResult) {
@@ -185,14 +186,14 @@ fn whole_pipeline_is_deterministic() {
 fn outages_leave_gaps_the_analysis_tolerates() {
     let world = World::tiny(309);
     let mut with_gaps = CampaignConfig::small(309);
-    with_gaps.outage_rate = 0.10;
+    with_gaps.fault_plan = FaultPlan::legacy_outage(0.10);
     with_gaps.diff_regions.clear();
     let gapped = Campaign::new(&world, with_gaps.clone())
         .runner()
         .run()
         .expect("fresh runs cannot fail");
     let mut pristine_cfg = with_gaps;
-    pristine_cfg.outage_rate = 0.0;
+    pristine_cfg.fault_plan = FaultPlan::none();
     let pristine = Campaign::new(&world, pristine_cfg)
         .runner()
         .run()

@@ -1,9 +1,7 @@
 //! Differential tests for the observability layer: an attached
 //! [`Observer`] must produce *byte-identical* metrics and trace JSON
 //! across `--jobs N`, across checkpoint resumes (batch and streaming),
-//! and must never perturb the campaign result itself. The legacy
-//! `Campaign` entrypoints must remain exact delegating shims over
-//! [`clasp_core::Runner`].
+//! and must never perturb the campaign result itself.
 
 use clasp_core::campaign::{Campaign, CampaignConfig, CampaignResult};
 use clasp_core::world::World;
@@ -190,72 +188,5 @@ fn observer_is_invisible_to_campaign_results() {
     assert_eq!(
         counters.get("ingest.points").and_then(|v| v.as_u64()),
         Some(observed.db.points_written)
-    );
-}
-
-/// The deprecated `Campaign` entrypoints are pure delegating shims:
-/// batch and streaming, fresh and resumed, they land on the same bytes
-/// as the `Runner` chains that replaced them.
-#[test]
-#[allow(deprecated)]
-fn legacy_entrypoints_match_runner() {
-    let world = World::new(66);
-    let mut cfg = config(66);
-    cfg.fault_plan = FaultPlan::builtin("moderate").expect("built-in profile");
-
-    // Batch: fresh + resume.
-    let legacy = Campaign::new(&world, cfg.clone()).run();
-    let runner = Campaign::new(&world, cfg.clone())
-        .runner()
-        .run()
-        .expect("fresh runs cannot fail");
-    assert_results_identical(&legacy, &runner, "legacy batch");
-    let legacy_resumed = Campaign::new(&world, cfg.clone())
-        .resume(&legacy.checkpoints[0])
-        .expect("legacy resume succeeds");
-    let runner_resumed = Campaign::new(&world, cfg.clone())
-        .runner()
-        .resume_from(&runner.checkpoints[0])
-        .run()
-        .expect("resume succeeds");
-    assert_results_identical(&legacy_resumed, &runner_resumed, "legacy resume");
-
-    // Streaming: fresh + resume.
-    let lcampaign = Campaign::new(&world, cfg.clone());
-    let mut lengine = lcampaign.stream_engine(engine_cfg());
-    let lstream = lcampaign.run_streaming(&mut lengine);
-    let rcampaign = Campaign::new(&world, cfg.clone());
-    let mut rengine = rcampaign.stream_engine(engine_cfg());
-    let rstream = rcampaign
-        .runner()
-        .streaming(&mut rengine)
-        .run()
-        .expect("fresh runs cannot fail");
-    assert_results_identical(&lstream, &rstream, "legacy streaming");
-    assert_eq!(lengine.stats(), rengine.stats());
-
-    let ckpt = &lstream.checkpoints[0];
-    let lrcampaign = Campaign::new(&world, cfg.clone());
-    let mut lrengine = lrcampaign
-        .restore_stream_engine(engine_cfg(), ckpt)
-        .expect("snapshot restores");
-    let lresumed = lrcampaign
-        .resume_streaming(ckpt, &mut lrengine)
-        .expect("legacy streaming resume succeeds");
-    let rrcampaign = Campaign::new(&world, cfg);
-    let mut rrengine = rrcampaign
-        .restore_stream_engine(engine_cfg(), ckpt)
-        .expect("snapshot restores");
-    let rresumed = rrcampaign
-        .runner()
-        .resume_from(ckpt)
-        .streaming(&mut rrengine)
-        .run()
-        .expect("resume succeeds");
-    assert_results_identical(&lresumed, &rresumed, "legacy streaming resume");
-    assert_eq!(lrengine.stats(), rrengine.stats());
-    assert_eq!(
-        serde_json::to_string(&lrengine.snapshot()),
-        serde_json::to_string(&rrengine.snapshot())
     );
 }
