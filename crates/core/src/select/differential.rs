@@ -146,8 +146,9 @@ pub fn select(
         if rtts.len() < cfg.min_samples || std_rtts.len() < cfg.min_samples {
             continue;
         }
-        let prem_med = median(rtts).expect("non-empty");
-        let std_med = median(std_rtts).expect("non-empty");
+        let (Some(prem_med), Some(std_med)) = (median(rtts), median(std_rtts)) else {
+            continue;
+        };
         tuples.push((as_id, city, prem_med, std_med));
     }
     let tuples_considered = tuples.len();
@@ -187,7 +188,7 @@ pub fn select(
         // Score: new country (4) + new city (2) + new AS (1); classes
         // over quota are heavily penalised but not excluded (so the
         // selection still fills up when one class dominates candidates).
-        let (best_idx, _) = remaining
+        let Some((best_idx, _)) = remaining
             .iter()
             .enumerate()
             .map(|(i, (a, c, class, _, _))| {
@@ -214,7 +215,9 @@ pub fn select(
                 (i, score)
             })
             .max_by_key(|&(i, score)| (score, std::cmp::Reverse(i)))
-            .expect("non-empty");
+        else {
+            break;
+        };
         let (as_id, city, class, prem, std_) = remaining.remove(best_idx);
         // A candidate tuple is only usable if a speed-test server exists
         // in the same <city, AS>.
@@ -321,6 +324,46 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(ids(&a), ids(&b));
+    }
+
+    /// FNV-1a over `(vp, tier, rtt bits)` of every pre-test sample.
+    fn probe_fingerprint(world: &World, region: &str) -> u64 {
+        let session = world.session();
+        let cfg = PreTestConfig::default();
+        let city = world.topo.cities.by_name(region).unwrap();
+        let samples = VantageSet::generate(&world.topo, cfg.seed).probe_tiers(
+            &session.paths,
+            &session.perf,
+            city,
+            world.topo.vm_ip(city, 1),
+            SimTime::EPOCH,
+            cfg.probes_per_vp,
+            cfg.seed,
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for s in samples {
+            let bytes = s.vp.to_le_bytes().into_iter();
+            let bytes = bytes.chain([(s.tier == Tier::Premium) as u8]);
+            for b in bytes.chain(s.rtt_ms.to_bits().to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn pretest_samples_are_pinned() {
+        // Captured before the queue pass learned to skip idle segments;
+        // every sample's RTT must keep its exact bits.
+        let world = World::tiny(111);
+        assert_eq!(
+            probe_fingerprint(&world, "St. Ghislain"),
+            0xdf0d_69a1_01ce_3ebf
+        );
+        assert_eq!(
+            probe_fingerprint(&world, "The Dalles"),
+            0x7a37_6182_40a6_60a8
+        );
     }
 
     #[test]

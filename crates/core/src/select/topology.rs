@@ -196,23 +196,15 @@ pub fn select_with_registry(
     // --- 3. one server per link: shortest AS path, then lowest RTT. ---
     let mut chosen: Vec<(Ipv4Addr, String, u32, f64)> = groups
         .into_iter()
-        .map(|(far, mut cands)| {
-            cands.sort_by(|a, b| {
-                a.1.cmp(&b.1)
-                    .then(a.2.partial_cmp(&b.2).expect("finite rtts"))
-                    .then(a.0.cmp(&b.0))
-            });
-            let best = cands.into_iter().next().expect("group non-empty");
-            (far, best.0, best.1, best.2)
+        .filter_map(|(far, mut cands)| {
+            cands.sort_by(|a, b| a.1.cmp(&b.1).then(a.2.total_cmp(&b.2)).then(a.0.cmp(&b.0)));
+            let best = cands.into_iter().next()?;
+            Some((far, best.0, best.1, best.2))
         })
         .collect();
 
     // --- 4. budget: prefer direct peering and low latency. ---
-    chosen.sort_by(|a, b| {
-        a.2.cmp(&b.2)
-            .then(a.3.partial_cmp(&b.3).expect("finite rtts"))
-            .then(a.1.cmp(&b.1))
-    });
+    chosen.sort_by(|a, b| a.2.cmp(&b.2).then(a.3.total_cmp(&b.3)).then(a.1.cmp(&b.1)));
     chosen.truncate(budget);
 
     let server_link: HashMap<String, Ipv4Addr> = chosen

@@ -149,6 +149,26 @@ impl LoadModel {
         };
         u.clamp(0.0, 1.25)
     }
+
+    /// Upper bound on [`Self::utilization_with`] for a congestion class,
+    /// over every seed, load key and instant: the class's formula above
+    /// with each input at its ceiling (`evening`, `daytime` and `noise`
+    /// at most 1, `dayf` at most `0.45 + 0.58`, the weekend peak), summed
+    /// in the same order, then clamped. IEEE rounding is monotone, so no
+    /// evaluation can round above it. `Clean` peaks at 0.41, below the perf model's
+    /// queue onset, which is what lets `PerfModel::eval_queue_ms` skip
+    /// its segments.
+    pub fn peak_utilization(congestion: CongestionClass) -> f64 {
+        const DAYF: f64 = 0.45 + 0.58;
+        let u: f64 = match congestion {
+            CongestionClass::Clean => 0.28 + 0.10 + 0.03,
+            CongestionClass::Mild => 0.44 + 0.30 * DAYF + 0.05,
+            CongestionClass::PeakCongested => 0.52 + 0.64 * DAYF + 0.015 + 0.06,
+            CongestionClass::DaytimeCongested => 0.55 + 0.64 * DAYF + 0.10 + 0.05,
+            CongestionClass::AllDayCongested => 0.88 + 0.10 * DAYF + 0.05,
+        };
+        u.min(1.25)
+    }
 }
 
 #[cfg(test)]
@@ -292,6 +312,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn utilization_never_exceeds_the_class_peak() {
+        // `Clean` must stay below the queue onset for the idle-segment
+        // skip in `PerfModel::eval_queue_ms` to be exact.
+        assert!(LoadModel::peak_utilization(CongestionClass::Clean) < crate::perf::QUEUE_ONSET);
+        let classes = [
+            CongestionClass::Clean,
+            CongestionClass::Mild,
+            CongestionClass::PeakCongested,
+            CongestionClass::DaytimeCongested,
+            CongestionClass::AllDayCongested,
+        ];
+        let m = LoadModel::new(0x5eed);
+        let mut clean_max = 0.0f64;
+        for key in 0..40u64 {
+            let key = load_key(b"peak", key, 0);
+            for day in 0..60 {
+                for hour in 0..24 {
+                    let t = SimTime::from_day_hour(day, hour);
+                    for offset in [-10, -8, -5, 0, 1, 5, 9, 10] {
+                        let basis = DiurnalBasis::at(t, offset);
+                        for class in classes {
+                            let u = m.utilization_with(key, class, &basis);
+                            assert!(
+                                u <= LoadModel::peak_utilization(class),
+                                "{class:?} u = {u} at key {key}, day {day}, hour {hour}"
+                            );
+                            if class == CongestionClass::Clean {
+                                clean_max = clean_max.max(u);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The sweep reaches close to the stated Clean peak, so the bound
+        // is tight rather than vacuous.
+        assert!(clean_max > 0.40, "clean max {clean_max}");
     }
 
     #[test]

@@ -120,16 +120,23 @@ struct CompiledSeg {
     base_loss: f64,
     /// Precomputed queue ceiling for the segment kind, ms.
     q_max: f64,
+    /// The congestion class's peak utilization is below
+    /// [`QUEUE_ONSET`], so the segment never queues.
+    idle: bool,
 }
 
 /// A path pre-compiled for repeated evaluation: per-segment statics
 /// resolved once, so the hot loop touches no city tables and computes
 /// each segment's utilization exactly once per instant.
 ///
-/// Produced by [`PerfModel::compile`]; consumed by [`PerfModel::eval`].
-/// Compilation depends only on the topology and the path — never on the
-/// load seed, the instant, or installed degradations — so a compiled
-/// path can be cached for the lifetime of the path itself.
+/// Produced by [`PerfModel::compile`]; consumed by [`PerfModel::eval`]
+/// and [`PerfModel::eval_queue_ms`]. Compilation also marks *idle*
+/// segments, whose congestion class peaks below the queue onset
+/// ([`LoadModel::peak_utilization`]); `eval_queue_ms` skips them. Most
+/// segments of a vantage-point path are idle. Compilation depends only
+/// on the topology and the path — never on the load seed, the instant,
+/// or installed degradations — so a compiled path can be cached for the
+/// lifetime of the path itself.
 #[derive(Debug, Clone)]
 pub struct CompiledPath {
     /// Total one-way propagation + processing latency, ms (copied from
@@ -164,6 +171,58 @@ pub struct PerfModel<'t> {
 
 /// Loss floor so the Mathis term stays finite on pristine paths.
 const MIN_LOSS: f64 = 1.2e-5;
+
+/// Utilization at which a segment's queue starts to fill.
+pub(crate) const QUEUE_ONSET: f64 = 0.45;
+
+/// Per-offset [`DiurnalBasis`] memo for one instant: paths cross a
+/// handful of time zones, so a pass computes each zone's two `exp`
+/// bumps once. Past eight zones it recomputes (same inputs, same bits).
+struct BasisCache {
+    t: SimTime,
+    slots: [(i32, DiurnalBasis); 8],
+    n: usize,
+}
+
+/// Filler for unused [`BasisCache`] slots; never read.
+const NO_BASIS: (i32, DiurnalBasis) = (
+    i32::MIN,
+    DiurnalBasis {
+        local_day: 0,
+        hour_bucket: 0,
+        weekend: false,
+        evening: 0.0,
+        daytime: 0.0,
+    },
+);
+
+impl BasisCache {
+    fn new(t: SimTime) -> Self {
+        Self {
+            t,
+            slots: [NO_BASIS; 8],
+            n: 0,
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, utc_offset: i32) -> DiurnalBasis {
+        if let Some((_, b)) = self
+            .slots
+            .iter()
+            .take(self.n)
+            .find(|(o, _)| *o == utc_offset)
+        {
+            return *b;
+        }
+        let b = DiurnalBasis::at(self.t, utc_offset);
+        if let Some(slot) = self.slots.get_mut(self.n) {
+            *slot = (utc_offset, b);
+            self.n += 1;
+        }
+        b
+    }
+}
 
 impl<'t> PerfModel<'t> {
     /// Creates a performance model.
@@ -319,7 +378,7 @@ impl<'t> PerfModel<'t> {
     /// Queueing delay at utilization `u` for a segment kind, ms.
     fn queue_ms(kind: SegmentKind, u: f64) -> f64 {
         let q_max = Self::q_max_of(kind);
-        let x = ((u - 0.45) / 0.55).clamp(0.0, 1.0);
+        let x = ((u - QUEUE_ONSET) / 0.55).clamp(0.0, 1.0);
         q_max * x * x * x
     }
 
@@ -451,6 +510,7 @@ impl<'t> PerfModel<'t> {
                     utc_offset: self.topo.cities.get(seg.city).utc_offset_hours,
                     base_loss: self.base_loss(seg),
                     q_max: Self::q_max_of(seg.kind),
+                    idle: LoadModel::peak_utilization(seg.congestion) < QUEUE_ONSET,
                 })
                 .collect(),
         }
@@ -466,26 +526,14 @@ impl<'t> PerfModel<'t> {
     /// the two diurnal `exp` bumps across segments in the same time
     /// zone (the bump inputs are identical, so the values are too).
     pub fn eval(&self, path: &CompiledPath, t: SimTime) -> PathEval {
-        // Per-offset diurnal bases; paths cross a handful of time zones.
-        let mut bases: [(i32, DiurnalBasis); 8] = [(i32::MIN, DiurnalBasis::at(t, 0)); 8];
-        let mut n_bases = 0usize;
+        let mut bases = BasisCache::new(t);
         let degraded = !self.degradations.is_empty();
 
         let mut pass = 1.0;
         let mut queue = 0.0;
         let mut bneck = f64::INFINITY;
         for seg in &path.segs {
-            let basis = match bases[..n_bases].iter().find(|(o, _)| *o == seg.utc_offset) {
-                Some((_, b)) => *b,
-                None => {
-                    let b = DiurnalBasis::at(t, seg.utc_offset);
-                    if n_bases < bases.len() {
-                        bases[n_bases] = (seg.utc_offset, b);
-                        n_bases += 1;
-                    }
-                    b
-                }
-            };
+            let basis = bases.get(seg.utc_offset);
             let u = self
                 .load
                 .utilization_with(seg.load_key, seg.congestion, &basis);
@@ -515,7 +563,7 @@ impl<'t> PerfModel<'t> {
             pass *= 1.0 - seg_loss;
 
             // Queueing (matches `queue_ms` + degradation delay).
-            let x = ((u - 0.45) / 0.55).clamp(0.0, 1.0);
+            let x = ((u - QUEUE_ONSET) / 0.55).clamp(0.0, 1.0);
             let q = seg.q_max * x * x * x;
             queue += match deg {
                 None => q,
@@ -542,28 +590,27 @@ impl<'t> PerfModel<'t> {
     }
 
     /// Queue-only [`Self::eval`]: total queueing delay of a compiled
-    /// path at `t`, ms. Bit-identical to [`Self::path_queue_ms`] on the
-    /// source path — the same per-segment terms fold in the same order;
-    /// the pass merely skips the loss and bottleneck accumulators, for
-    /// probe-style callers that only need latency.
+    /// path at `t`, ms, for probe-style callers that only need latency.
+    ///
+    /// Bit-identical to [`Self::path_queue_ms`] on the source path: the
+    /// same per-segment terms fold in the same order, except that idle
+    /// segments (see [`CompiledPath`]) are skipped outright. Their term
+    /// is `q_max·0³ = +0.0`, and adding `+0.0` leaves the bits of any
+    /// sum but `-0.0` unchanged. The running sum is never `-0.0`: it
+    /// starts at `+0.0`, no queue term is `-0.0`, and an IEEE sum is
+    /// `-0.0` only when both addends are. A cloud edge while
+    /// degradations are installed is never skipped: its term may carry
+    /// `added_delay_ms`.
     pub fn eval_queue_ms(&self, path: &CompiledPath, t: SimTime) -> f64 {
-        let mut bases: [(i32, DiurnalBasis); 8] = [(i32::MIN, DiurnalBasis::at(t, 0)); 8];
-        let mut n_bases = 0usize;
+        let mut bases = BasisCache::new(t);
         let degraded = !self.degradations.is_empty();
 
         let mut queue = 0.0;
         for seg in &path.segs {
-            let basis = match bases[..n_bases].iter().find(|(o, _)| *o == seg.utc_offset) {
-                Some((_, b)) => *b,
-                None => {
-                    let b = DiurnalBasis::at(t, seg.utc_offset);
-                    if n_bases < bases.len() {
-                        bases[n_bases] = (seg.utc_offset, b);
-                        n_bases += 1;
-                    }
-                    b
-                }
-            };
+            if seg.idle && !(degraded && matches!(seg.kind, SegmentKind::CloudEdge(_))) {
+                continue;
+            }
+            let basis = bases.get(seg.utc_offset);
             let u = self
                 .load
                 .utilization_with(seg.load_key, seg.congestion, &basis);
@@ -572,7 +619,7 @@ impl<'t> PerfModel<'t> {
             } else {
                 None
             };
-            let x = ((u - 0.45) / 0.55).clamp(0.0, 1.0);
+            let x = ((u - QUEUE_ONSET) / 0.55).clamp(0.0, 1.0);
             let q = seg.q_max * x * x * x;
             queue += match deg {
                 None => q,
@@ -583,7 +630,8 @@ impl<'t> PerfModel<'t> {
     }
 
     /// [`Self::idle_rtt_ms`] over compiled paths — bit-identical (the
-    /// four RTT terms sum in the same order).
+    /// four RTT terms sum in the same order, and each queue term comes
+    /// from [`Self::eval_queue_ms`], which skips idle segments).
     pub fn idle_rtt_ms_eval(&self, fwd: &CompiledPath, rev: &CompiledPath, t: SimTime) -> f64 {
         fwd.oneway_ms + rev.oneway_ms + self.eval_queue_ms(fwd, t) + self.eval_queue_ms(rev, t)
     }
@@ -870,63 +918,171 @@ mod tests {
         }
     }
 
+    /// Every vantage-point path pair of the topology into `region`:
+    /// one host per non-cloud `(AS, city)` — the population
+    /// `VantageSet` samples from — on both tiers, as `(to server, to
+    /// cloud)` pairs.
+    fn vantage_pairs(topo: &Topology, region: &str) -> Vec<(RouterPath, RouterPath)> {
+        let paths = Paths::new(topo);
+        let region = topo.cities.by_name(region).unwrap();
+        let vm = topo.vm_ip(region, 1);
+        let mut out = Vec::new();
+        for leaf in topo.non_cloud_ases() {
+            for &city in &topo.as_node(leaf).cities {
+                let ip = topo.host_ip(leaf, city, 15);
+                for tier in [Tier::Premium, Tier::Standard] {
+                    let path = |dir| paths.vm_host_path(region, vm, leaf, city, ip, tier, dir);
+                    if let (Some(fwd), Some(rev)) =
+                        (path(Direction::ToServer), path(Direction::ToCloud))
+                    {
+                        out.push((fwd, rev));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Asserts that every compiled evaluation of `fwd`/`rev` over 48
+    /// hours matches the per-segment passes on the source paths bit for
+    /// bit, in both directions.
+    fn assert_compiled_matches(perf: &PerfModel<'_>, fwd: &RouterPath, rev: &RouterPath) {
+        let (cf, cr) = (perf.compile(fwd), perf.compile(rev));
+        for hour in 0..48 {
+            let t = SimTime::from_day_hour(hour / 24, hour % 24);
+            for (path, compiled) in [(fwd, &cf), (rev, &cr)] {
+                let e = perf.eval(compiled, t);
+                let queue = perf.path_queue_ms(path, t).to_bits();
+                assert_eq!(e.queue_ms.to_bits(), queue);
+                assert_eq!(perf.eval_queue_ms(compiled, t).to_bits(), queue);
+                assert_eq!(e.loss.to_bits(), perf.path_loss(path, t).to_bits());
+                assert_eq!(
+                    e.bottleneck_mbps.to_bits(),
+                    perf.bottleneck_mbps(path, t).to_bits()
+                );
+            }
+            assert_eq!(
+                perf.idle_rtt_ms_eval(&cf, &cr, t).to_bits(),
+                perf.idle_rtt_ms(fwd, rev, t).to_bits()
+            );
+            let (ef, er) = (perf.eval(&cf, t), perf.eval(&cr, t));
+            let fast = perf.tcp_throughput_eval(&cf, &cr, &ef, &er, &FlowSpec::download());
+            let slow = perf.tcp_throughput(fwd, rev, t, &FlowSpec::download());
+            assert_eq!(
+                fast.throughput_mbps.to_bits(),
+                slow.throughput_mbps.to_bits()
+            );
+            assert_eq!(fast.rtt_ms.to_bits(), slow.rtt_ms.to_bits());
+            assert_eq!(fast.loss_rate.to_bits(), slow.loss_rate.to_bits());
+            assert_eq!(
+                fast.bottleneck_mbps.to_bits(),
+                slow.bottleneck_mbps.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn compiled_eval_is_bitwise_identical_to_separate_passes() {
         let (topo, load) = setup();
         let mut perf = PerfModel::new(&topo, load);
-        let leaf = us_leaf(&topo);
-        let (down, up) = path_pair(&topo, leaf, Tier::Premium);
-        let check = |perf: &PerfModel<'_>| {
-            let cd = perf.compile(&down);
-            let cu = perf.compile(&up);
-            for day in 0..4 {
-                for hour in (0..24).step_by(2) {
-                    let t = SimTime::from_day_hour(day, hour);
-                    for (path, compiled) in [(&down, &cd), (&up, &cu)] {
-                        let e = perf.eval(compiled, t);
-                        assert_eq!(e.queue_ms.to_bits(), perf.path_queue_ms(path, t).to_bits());
-                        assert_eq!(e.loss.to_bits(), perf.path_loss(path, t).to_bits());
-                        assert_eq!(
-                            e.bottleneck_mbps.to_bits(),
-                            perf.bottleneck_mbps(path, t).to_bits()
-                        );
-                    }
-                    assert_eq!(
-                        perf.eval_queue_ms(&cd, t).to_bits(),
-                        perf.path_queue_ms(&down, t).to_bits()
-                    );
-                    assert_eq!(
-                        perf.idle_rtt_ms_eval(&cd, &cu, t).to_bits(),
-                        perf.idle_rtt_ms(&down, &up, t).to_bits()
-                    );
-                    let (ed, eu) = (perf.eval(&cd, t), perf.eval(&cu, t));
-                    let fast = perf.tcp_throughput_eval(&cd, &cu, &ed, &eu, &FlowSpec::download());
-                    let slow = perf.tcp_throughput(&down, &up, t, &FlowSpec::download());
-                    assert_eq!(
-                        fast.throughput_mbps.to_bits(),
-                        slow.throughput_mbps.to_bits()
-                    );
-                    assert_eq!(fast.rtt_ms.to_bits(), slow.rtt_ms.to_bits());
-                    assert_eq!(fast.loss_rate.to_bits(), slow.loss_rate.to_bits());
-                    assert_eq!(
-                        fast.bottleneck_mbps.to_bits(),
-                        slow.bottleneck_mbps.to_bits()
-                    );
-                }
-            }
+        let pairs = vantage_pairs(&topo, "The Dalles");
+        let segs = || {
+            pairs
+                .iter()
+                .flat_map(|(f, r)| f.segments.iter().chain(&r.segments))
         };
-        check(&perf);
-        // And with an active degradation window on the path's edge link.
-        let link = edge_link_of(&down);
-        perf.set_degradations(vec![LinkDegradation {
-            link,
-            start_s: 86_400,
-            end_s: 3 * 86_400,
-            capacity_factor: 0.3,
-            loss_floor: 0.015,
-            added_delay_ms: 4.0,
-        }]);
-        check(&perf);
+        // The skip has something to skip, and most vantage-point
+        // segments are idle.
+        let idle = pairs
+            .iter()
+            .flat_map(|(f, r)| perf.compile(f).segs.into_iter().chain(perf.compile(r).segs))
+            .filter(|s| s.idle)
+            .count();
+        assert!(idle * 2 > segs().count(), "{idle} idle segments");
+
+        // 1. No degradations: idle segments are skipped everywhere.
+        for (fwd, rev) in &pairs {
+            assert_compiled_matches(&perf, fwd, rev);
+        }
+
+        // 2. Degradations on the idle (`Clean`) cloud edges: the one case
+        //    where an idle segment still adds queueing delay.
+        let mut links: Vec<LinkId> = segs()
+            .filter_map(|s| match s.kind {
+                SegmentKind::CloudEdge(l) if s.congestion == CongestionClass::Clean => Some(l),
+                _ => None,
+            })
+            .collect();
+        links.sort_unstable_by_key(|l| l.0);
+        links.dedup();
+        assert!(!links.is_empty(), "no clean cloud edge to degrade");
+        let pristine: Vec<u64> = pairs
+            .iter()
+            .map(|(f, r)| {
+                perf.idle_rtt_ms(f, r, SimTime::from_day_hour(0, 20))
+                    .to_bits()
+            })
+            .collect();
+        perf.set_degradations(
+            links
+                .iter()
+                .map(|&link| LinkDegradation {
+                    link,
+                    start_s: 12 * 3600,
+                    end_s: 36 * 3600,
+                    capacity_factor: 0.3,
+                    loss_floor: 0.015,
+                    added_delay_ms: 4.0,
+                })
+                .collect(),
+        );
+        let moved = pairs
+            .iter()
+            .zip(&pristine)
+            .filter(|((f, r), &p)| {
+                perf.idle_rtt_ms(f, r, SimTime::from_day_hour(0, 20))
+                    .to_bits()
+                    != p
+            })
+            .count();
+        assert!(moved > 0, "the degradations add no delay");
+        for (fwd, rev) in &pairs {
+            assert_compiled_matches(&perf, fwd, rev);
+        }
+
+        // 3. A path across more than eight UTC offsets, past the basis
+        //    cache: one segment per offset, busy (non-idle) where the
+        //    offset has one, then a full real path.
+        let mut per_offset: Vec<(i32, Segment)> = Vec::new();
+        for s in segs() {
+            let o = topo.cities.get(s.city).utc_offset_hours;
+            match per_offset.iter_mut().find(|(x, _)| *x == o) {
+                None => per_offset.push((o, *s)),
+                Some((_, kept))
+                    if kept.congestion == CongestionClass::Clean
+                        && s.congestion != CongestionClass::Clean =>
+                {
+                    *kept = *s
+                }
+                Some(_) => {}
+            }
+        }
+        let busy = per_offset
+            .iter()
+            .filter(|(_, s)| s.congestion != CongestionClass::Clean)
+            .count();
+        assert!(busy > 8, "{busy} offsets with a busy segment");
+        let mut wide = pairs[0].0.clone();
+        wide.segments = per_offset
+            .iter()
+            .map(|(_, s)| *s)
+            .chain(pairs[0].0.segments.iter().copied())
+            .collect();
+        let mut wide_rev = pairs[0].1.clone();
+        wide_rev.segments = wide.segments.iter().rev().copied().collect();
+        assert_compiled_matches(&perf, &wide, &wide_rev);
+        perf.set_degradations(Vec::new());
+        assert_compiled_matches(&perf, &wide, &wide_rev);
     }
 
     #[test]

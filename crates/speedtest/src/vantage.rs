@@ -118,8 +118,10 @@ impl VantageSet {
                     continue;
                 };
                 // Compile once per (VP, tier): the probes-many instants
-                // below then evaluate only the time-varying terms.
-                // `idle_rtt_ms_eval` is bit-identical to `idle_rtt_ms`.
+                // below then evaluate only the time-varying terms of the
+                // segments that can queue; compilation marks the rest
+                // idle. `idle_rtt_ms_eval` is bit-identical to
+                // `idle_rtt_ms`.
                 let (cfwd, crev) = (perf.compile(&fwd), perf.compile(&rev));
                 for k in 0..probes {
                     let t = start + (k as u64) * simnet::time::HOUR;
