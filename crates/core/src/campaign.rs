@@ -294,11 +294,11 @@ struct VmTask<'w> {
     n_vms: usize,
     tier: Tier,
     assignment: Vec<String>,
-    /// Path pairs resolved during unit prep, while the worker's route
-    /// cache is warm from the unit's selection scan. Resolution is a
+    /// Path pairs resolved during unit prep, while the worker's path
+    /// caches are warm from the unit's selection scan. Resolution is a
     /// pure function of (world, region, tier, server), so resolving in
     /// phase 1 instead of next to the cron loop cannot change results —
-    /// it only keeps the expensive routing tables off the per-VM phase.
+    /// it only keeps path construction off the per-VM phase.
     pairs: PairMap<'w>,
     comp_label: String,
     /// Region string of the unit's shared bucket (upload fault draws
@@ -506,38 +506,6 @@ impl<'w> Campaign<'w> {
         let done: Vec<bool> = units.iter().map(|u| completed.contains(&u.label)).collect();
         let diff_start = SimTime((self.config.days - self.config.diff_days) * SECONDS_PER_DAY);
 
-        // Phase 0: routing-table warm. A pilot scan traceroutes every
-        // non-cloud AS, so a session ends up with one routing table per
-        // AS; per-worker sessions would recompute that whole set once
-        // per worker. Each table is an independent pure function of the
-        // topology, so compute the full set here — fanned out across
-        // the same worker pool — and seed every session below with the
-        // shared result.
-        let dsts: Vec<simnet::topology::AsId> = std::iter::once(self.world.topo.cloud)
-            .chain(self.world.topo.non_cloud_ases())
-            .collect();
-        let span0 = observer.map(|o| o.span("phase0:route_warm"));
-        let (table_pairs, shards) = exec::scatter_metered(
-            jobs,
-            dsts.len(),
-            || (),
-            |(), m, i| {
-                m.inc("exec.route_tables", 1);
-                let routing = simnet::routing::Routing::new(&self.world.topo);
-                (dsts[i], routing.routes_to(dsts[i]))
-            },
-        );
-        let tables: simnet::routing::RouteTables = table_pairs.into_iter().collect();
-        if let Some(obs) = observer {
-            // One quantum of logical time per route table: an
-            // input-derived amount, never a scheduling-derived one.
-            for shard in &shards {
-                obs.merge_shard(shard);
-            }
-            obs.advance(dsts.len() as u64);
-        }
-        drop(span0);
-
         // Phase 1: per-unit prep — selections (pure functions of world
         // + config, recomputed identically whether resuming or not) and
         // the VM task descriptors of pending units. Each worker builds
@@ -550,7 +518,7 @@ impl<'w> Campaign<'w> {
             jobs,
             units.len(),
             || {
-                let mut session = self.world.session_with(&tables);
+                let mut session = self.world.session();
                 session.perf.set_degradations(degradations.clone());
                 session
             },
@@ -698,7 +666,7 @@ impl<'w> Campaign<'w> {
             jobs,
             tasks.len(),
             || {
-                let mut session = self.world.session_with(&tables);
+                let mut session = self.world.session();
                 session.perf.set_degradations(degradations.clone());
                 session
             },
@@ -778,10 +746,6 @@ impl<'w> Campaign<'w> {
             },
         );
         drop(tasks);
-        // The merge builds no session, so the route tables — one per
-        // AS, over 100 MB on the paper world — go before the database
-        // grows to its full size.
-        drop(tables);
         if let Some(obs) = observer {
             // Logical time covers *planned* VMs (vm_plan includes the
             // completed units' VMs), so resumed runs advance the clock
@@ -1840,11 +1804,10 @@ mod tests {
         assert_eq!(m.counter("exec.tests_tainted"), observed.tainted_tests);
         assert_eq!(m.counter("ingest.objects"), observed.raw_objects);
         assert_eq!(m.counter("ingest.points"), observed.db.points_written);
-        assert!(m.counter("exec.route_tables") > 0);
         assert_eq!(m.counter("prep.units"), 2);
-        // Spans: campaign root + four phases, clock strictly advanced.
+        // Spans: campaign root + three phases, clock strictly advanced.
         let spans = obs.spans();
-        assert_eq!(spans.len(), 5);
+        assert_eq!(spans.len(), 4);
         assert_eq!(spans[0].name, "campaign");
         assert!(obs.now() > 0);
         assert_eq!(spans[0].end, obs.now());

@@ -90,21 +90,14 @@ impl World {
             .collect()
     }
 
-    /// Opens a session: routing caches + perf model borrowed from self.
+    /// Opens a session: cold routing and path caches plus the perf
+    /// model, borrowed from self. The caches memoise pure functions of
+    /// the topology, so a session's history never changes a result, and
+    /// a cold one is cheap: cloud-anchored AS paths need no full routing
+    /// table apart from one toward the cloud.
     pub fn session(&self) -> Session<'_> {
         Session {
             paths: Paths::new(&self.topo),
-            perf: PerfModel::new(&self.topo, LoadModel::new(self.load_seed)),
-        }
-    }
-
-    /// Opens a session whose routing cache starts out seeded with
-    /// pre-computed tables (see [`simnet::routing::Routing::with_tables`]).
-    /// Tables are pure functions of the topology, so a warm session
-    /// behaves identically to a cold one — it only skips recomputation.
-    pub fn session_with(&self, tables: &simnet::routing::RouteTables) -> Session<'_> {
-        Session {
-            paths: Paths::with_tables(&self.topo, tables),
             perf: PerfModel::new(&self.topo, LoadModel::new(self.load_seed)),
         }
     }

@@ -25,7 +25,7 @@
 use crate::geo::CityId;
 use crate::topology::{AsId, CongestionClass, EdgeId, LinkId, Topology};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -70,12 +70,9 @@ pub struct RouteEntry {
     pub next: AsId,
 }
 
-/// A routing table toward one destination, packed to one `u32` per AS.
-///
-/// A full campaign warms a table per routed AS; at ~6k ASes the naive
-/// `Vec<Option<RouteEntry>>` layout (16 bytes/slot) holds >500 MB of
-/// tables, which thrashes the cache on a small host. The packed layout
-/// is 4 bytes/slot: bit 31 = present, bits 30–29 = kind, bits 28–23 =
+/// A routing table toward one destination, packed to one `u32` per AS
+/// (a quarter of the naive `Vec<Option<RouteEntry>>` layout's 16
+/// bytes/slot): bit 31 = present, bits 30–29 = kind, bits 28–23 =
 /// AS-path length (≤ 63), bits 22–0 = next-hop AS id (< 2²³).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedRouteTable {
@@ -135,22 +132,40 @@ impl PackedRouteTable {
     }
 }
 
-/// Precomputed per-destination routing tables, shareable across threads
-/// (tables are immutable once built; `Arc` makes a warm set cheap to
-/// hand to every worker of a parallel campaign).
-pub type RouteTables = BTreeMap<AsId, Arc<PackedRouteTable>>;
+impl RouteEntry {
+    /// Preference key: lower is better (customer > peer > provider, then
+    /// shortest AS path, then lowest next-hop index).
+    fn rank(&self) -> (RouteKind, u32, u32) {
+        (self.kind, self.len, self.next.0)
+    }
+}
 
-/// Per-destination routing tables with caching.
+/// True when `candidate` beats the `incumbent` entry (if any).
+fn better(candidate: &RouteEntry, incumbent: &Option<RouteEntry>) -> bool {
+    incumbent.is_none_or(|cur| candidate.rank() < cur.rank())
+}
+
+/// Memoised AS paths: (src, dst) → what [`Routing::as_path`] returns.
+type AsPathCache = HashMap<(u32, u32), Option<Vec<AsId>>>;
+
+fn cone_entry(cone: &[(AsId, RouteEntry)], v: AsId) -> Option<RouteEntry> {
+    cone.iter().find(|(a, _)| *a == v).map(|(_, e)| *e)
+}
+
+/// Valley-free AS routing over a topology, memoised.
 ///
-/// `routes_to(d).get(v)` answers "what is AS v's best route toward d".
-/// Tables are computed on first use and memoised; a bdrmap pilot scan
-/// ends up touching every routed AS, one table each.
+/// [`Self::as_path`] answers from the destination's provider cone
+/// whenever the source's route is settled by the first two phases of
+/// the Gao–Rexford computation (customer and peer routes), which is
+/// every cloud-anchored query except host → cloud from a host that does
+/// not peer with the cloud. Those fall back to the full table
+/// [`Self::routes_to`], computed on first use and memoised. Every cache
+/// holds pure functions of the topology, so it can only skip
+/// recomputation — never change a route.
 pub struct Routing<'t> {
     topo: &'t Topology,
-    cache: RefCell<RouteTables>,
-    /// Reusable unpacked scratch for [`Self::compute`]: avoids a fresh
-    /// ~100 KB zeroed allocation per table during a full warm-up.
-    scratch: RefCell<Vec<Option<RouteEntry>>>,
+    cache: RefCell<BTreeMap<AsId, Arc<PackedRouteTable>>>,
+    as_paths: RefCell<AsPathCache>,
 }
 
 impl<'t> Routing<'t> {
@@ -159,18 +174,7 @@ impl<'t> Routing<'t> {
         Self {
             topo,
             cache: RefCell::new(BTreeMap::new()),
-            scratch: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Creates a routing view whose cache starts out seeded with
-    /// `tables`. Tables are pure functions of the topology, so a seeded
-    /// cache can only skip recomputation — never change a route.
-    pub fn with_tables(topo: &'t Topology, tables: &RouteTables) -> Self {
-        Self {
-            topo,
-            cache: RefCell::new(tables.clone()),
-            scratch: RefCell::new(Vec::new()),
+            as_paths: RefCell::new(HashMap::new()),
         }
     }
 
@@ -179,7 +183,8 @@ impl<'t> Routing<'t> {
         self.topo
     }
 
-    /// Returns the (cached) routing table toward `dst`.
+    /// Returns the (cached) routing table toward `dst`:
+    /// `routes_to(d).get(v)` is AS v's best route toward d.
     pub fn routes_to(&self, dst: AsId) -> Arc<PackedRouteTable> {
         if let Some(t) = self.cache.borrow().get(&dst) {
             return Arc::clone(t);
@@ -189,73 +194,76 @@ impl<'t> Routing<'t> {
         table
     }
 
-    /// Gao–Rexford three-phase computation of best routes toward `dst`.
-    fn compute(&self, dst: AsId) -> PackedRouteTable {
-        let n = self.topo.as_count();
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.clear();
-        scratch.resize(n, None);
-        let table: &mut Vec<Option<RouteEntry>> = &mut scratch;
+    /// Phase 1: customer routes climb provider edges from `dst` (its
+    /// providers hear it as a customer route, their providers in turn,
+    /// ...). Returns `dst`'s provider cone with each member's route.
+    /// Relaxation runs to the fixpoint, so every entry is a pure min
+    /// whatever the visiting order.
+    fn customer_cone(&self, dst: AsId) -> Vec<(AsId, RouteEntry)> {
         // The destination itself: length 0, kind Customer (so it exports
         // to everyone, as an origin does).
-        table[dst.0 as usize] = Some(RouteEntry {
-            kind: RouteKind::Customer,
-            len: 0,
-            next: dst,
-        });
-
-        let better = |candidate: &RouteEntry, incumbent: &Option<RouteEntry>| -> bool {
-            match incumbent {
-                None => true,
-                Some(cur) => {
-                    (candidate.kind, candidate.len, candidate.next.0)
-                        < (cur.kind, cur.len, cur.next.0)
-                }
-            }
-        };
-
-        // Phase 1: customer routes climb provider edges (dst's providers
-        // hear it as a customer route, their providers in turn, ...).
+        let mut cone = vec![(
+            dst,
+            RouteEntry {
+                kind: RouteKind::Customer,
+                len: 0,
+                next: dst,
+            },
+        )];
         let mut frontier = vec![dst];
         while let Some(u) = frontier.pop() {
-            let u_entry = table[u.0 as usize].expect("frontier members are routed");
-            if u_entry.kind != RouteKind::Customer {
+            let Some(u_entry) = cone_entry(&cone, u) else {
                 continue;
-            }
+            };
             for &p in &self.topo.as_node(u).providers {
                 let cand = RouteEntry {
                     kind: RouteKind::Customer,
                     len: u_entry.len + 1,
                     next: u,
                 };
-                if better(&cand, &table[p.0 as usize]) {
-                    table[p.0 as usize] = Some(cand);
-                    frontier.push(p);
+                match cone.iter_mut().find(|(a, _)| *a == p) {
+                    Some((_, cur)) if cand.rank() >= cur.rank() => continue,
+                    Some((_, cur)) => *cur = cand,
+                    None => cone.push((p, cand)),
                 }
+                frontier.push(p);
             }
         }
+        cone
+    }
 
-        // Phase 2: one peer hop. An AS with a customer route (or the
-        // origin) exports it to its peers.
-        let mut peer_updates: Vec<(AsId, RouteEntry)> = Vec::new();
-        for (u_idx, slot) in table.iter().enumerate() {
-            let Some(entry) = *slot else { continue };
-            if entry.kind != RouteKind::Customer {
-                continue;
-            }
-            let u = AsId(u_idx as u32);
-            for &v in &self.topo.as_node(u).peers {
-                peer_updates.push((
+    /// Phase 2 offers: every cone member exports its customer route to
+    /// the ASes on its *own* peer list (peering is not always listed on
+    /// both sides: the cloud lists the tier-1s it buys transit from).
+    fn peer_offers<'c>(
+        &'c self,
+        cone: &'c [(AsId, RouteEntry)],
+    ) -> impl Iterator<Item = (AsId, RouteEntry)> + 'c {
+        cone.iter().flat_map(move |&(u, entry)| {
+            self.topo.as_node(u).peers.iter().map(move |&v| {
+                (
                     v,
                     RouteEntry {
                         kind: RouteKind::Peer,
                         len: entry.len + 1,
                         next: u,
                     },
-                ));
-            }
+                )
+            })
+        })
+    }
+
+    /// Gao–Rexford three-phase computation of best routes toward `dst`.
+    fn compute(&self, dst: AsId) -> PackedRouteTable {
+        let mut table: Vec<Option<RouteEntry>> = vec![None; self.topo.as_count()];
+        let cone = self.customer_cone(dst);
+        for &(u, entry) in &cone {
+            table[u.0 as usize] = Some(entry);
         }
-        for (v, cand) in peer_updates {
+
+        // Phase 2: one peer hop. Offers never displace a cone member's
+        // customer route, so they can be applied as they are generated.
+        for (v, cand) in self.peer_offers(&cone) {
             if better(&cand, &table[v.0 as usize]) {
                 table[v.0 as usize] = Some(cand);
             }
@@ -310,34 +318,70 @@ impl<'t> Routing<'t> {
             len += 1;
         }
 
-        PackedRouteTable::from_slots(table)
+        PackedRouteTable::from_slots(&table)
     }
 
     /// AS-level path from `src` to `dst` (inclusive on both ends), or
-    /// `None` when no policy-compliant route exists.
+    /// `None` when no policy-compliant route exists. Memoised.
+    ///
+    /// Phase 3 of [`Self::compute`] only ever offers provider routes,
+    /// which rank below customer and peer routes, so an AS holding a
+    /// customer or peer route after phase 2 keeps it. Such a route's next
+    /// hop is a cone member, and so is every later hop, so the walk
+    /// needs only `dst`'s provider cone plus `src`'s phase-2 entry.
     pub fn as_path(&self, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
         if src == dst {
             return Some(vec![src]);
         }
-        let table = self.routes_to(dst);
-        let mut path = vec![src];
-        let mut cur = src;
-        // Bounded walk: AS paths are far shorter than 32.
-        for _ in 0..32 {
-            let entry = table.get(cur.0 as usize)?;
-            cur = entry.next;
-            path.push(cur);
-            if cur == dst {
-                return Some(path);
-            }
+        if let Some(p) = self.as_paths.borrow().get(&(src.0, dst.0)) {
+            return p.clone();
         }
-        None
+        let cone = self.customer_cone(dst);
+        let settled = cone_entry(&cone, src).or_else(|| {
+            self.peer_offers(&cone)
+                .filter(|(v, _)| *v == src)
+                .map(|(_, e)| e)
+                .min_by_key(RouteEntry::rank)
+        });
+        let path = match settled {
+            Some(first) => walk(src, dst, |v| {
+                if v == src {
+                    Some(first)
+                } else {
+                    cone_entry(&cone, v)
+                }
+            }),
+            None => {
+                let table = self.routes_to(dst);
+                walk(src, dst, |v| table.get(v.0 as usize))
+            }
+        };
+        self.as_paths
+            .borrow_mut()
+            .insert((src.0, dst.0), path.clone());
+        path
     }
 
     /// AS-path length in AS hops (0 when `src == dst`).
     pub fn as_path_len(&self, src: AsId, dst: AsId) -> Option<u32> {
         self.as_path(src, dst).map(|p| (p.len() - 1) as u32)
     }
+}
+
+/// Follows next hops from `src` until `dst`, reading each AS's best
+/// route from `entry`.
+fn walk(src: AsId, dst: AsId, entry: impl Fn(AsId) -> Option<RouteEntry>) -> Option<Vec<AsId>> {
+    let mut path = vec![src];
+    let mut cur = src;
+    // Bounded walk: AS paths are far shorter than 32.
+    for _ in 0..32 {
+        cur = entry(cur)?.next;
+        path.push(cur);
+        if cur == dst {
+            return Some(path);
+        }
+    }
+    None
 }
 
 /// Direction of a unidirectional data path.
@@ -464,17 +508,6 @@ impl<'t> Paths<'t> {
         }
     }
 
-    /// Creates a path builder over a pre-warmed routing cache (see
-    /// [`Routing::with_tables`]).
-    pub fn with_tables(topo: &'t Topology, tables: &RouteTables) -> Self {
-        Self {
-            routing: Routing::with_tables(topo, tables),
-            ecmp: RefCell::new(std::collections::HashMap::new()),
-            local: RefCell::new(std::collections::HashMap::new()),
-            built: RefCell::new(std::collections::HashMap::new()),
-        }
-    }
-
     /// The AS-level routing view.
     pub fn routing(&self) -> &Routing<'t> {
         &self.routing
@@ -536,7 +569,7 @@ impl<'t> Paths<'t> {
             .min_by(|a, b| {
                 let da = topo.cities.get(*a).location.distance_km(&anchor);
                 let db = topo.cities.get(*b).location.distance_km(&anchor);
-                da.partial_cmp(&db).expect("finite").then(a.0.cmp(&b.0))
+                da.total_cmp(&db).then(a.0.cmp(&b.0))
             });
         let bundle = best_pop.map(|pop| {
             // Parallel interfaces at that PoP, stable order.
@@ -604,7 +637,9 @@ impl<'t> Paths<'t> {
         for _depth in 0..3 {
             let mut next: Vec<Vec<AsId>> = Vec::new();
             for chain in &frontier {
-                let top = *chain.last().expect("non-empty chain");
+                let Some(&top) = chain.last() else {
+                    continue;
+                };
                 let mut providers = topo.as_node(top).providers.clone();
                 providers.sort_by_key(|p| p.0);
                 for p in providers {
@@ -881,9 +916,7 @@ impl<'t> Paths<'t> {
         let mut entry_city = pop_city;
         for w in as_path_forward[1..].windows(2) {
             let (cur, nxt) = (w[0], w[1]);
-            let edge_id = topo
-                .edge_between(cur, nxt)
-                .expect("consecutive path ASes share an edge");
+            let edge_id = topo.edge_between(cur, nxt)?;
             let edge = topo.edge(edge_id);
             let exit_city = edge.city;
             // Internal haul across `cur` from entry to the interconnect.
@@ -1154,6 +1187,120 @@ mod tests {
         let a = r.routes_to(leaf);
         let b = r.routes_to(leaf);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// Reference answer: the walk over `dst`'s full routing table.
+    fn table_walk(reference: &Routing, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
+        let table = reference.routes_to(dst);
+        let mut path = vec![src];
+        while path.len() <= 32 {
+            let cur = *path.last()?;
+            if cur == dst {
+                return Some(path);
+            }
+            path.push(table.get(cur.0 as usize)?.next);
+        }
+        (*path.last()? == dst).then_some(path)
+    }
+
+    /// Checks `as_path` against the full-table walk for every
+    /// cloud-anchored pair (both directions) plus `extra` pairs.
+    fn assert_matches_table_walk(t: &Topology, extra: impl Iterator<Item = (AsId, AsId)>) {
+        let r = Routing::new(t);
+        let reference = Routing::new(t);
+        let cloud_pairs = t
+            .non_cloud_ases()
+            .flat_map(|x| [(t.cloud, x), (x, t.cloud)]);
+        let mut checked = 0;
+        for (s, d) in cloud_pairs.chain(extra) {
+            let want = table_walk(&reference, s, d);
+            assert_eq!(r.as_path(s, d), want, "{s:?} -> {d:?}");
+            // A memo hit answers the same.
+            assert_eq!(r.as_path(s, d), want, "{s:?} -> {d:?} (memoised)");
+            checked += 1;
+        }
+        assert!(checked > 2 * (t.as_count() - 1));
+    }
+
+    #[test]
+    fn as_path_matches_the_full_table_walk_on_tiny_worlds() {
+        for seed in [1, 7, 42, 111] {
+            let t = Topology::generate(TopologyConfig::tiny(seed));
+            let n = t.as_count() as u32;
+            // Every (s, d) pair of the world, well over 20k in total.
+            let all = (0..n).flat_map(|s| (0..n).map(move |d| (AsId(s), AsId(d))));
+            assert_matches_table_walk(&t, all);
+        }
+    }
+
+    #[test]
+    fn as_path_matches_the_full_table_walk_on_a_mid_size_world() {
+        let t = Topology::generate(TopologyConfig {
+            n_tier1: 5,
+            n_transit: 20,
+            n_access_us: 160,
+            n_access_intl: 50,
+            n_hosting: 50,
+            n_education: 15,
+            n_business: 400,
+            ..TopologyConfig::tiny(5)
+        });
+        let n = t.as_count() as u64;
+        let random = (0..5_000u64).map(|i| {
+            let h = load_key(b"pair", 5, i);
+            (AsId((h % n) as u32), AsId(((h >> 32) % n) as u32))
+        });
+        assert_matches_table_walk(&t, random);
+    }
+
+    /// The tiny topology with every AS relationship removed, for
+    /// hand-built routing cases.
+    fn unconnected() -> Topology {
+        let mut t = topo();
+        for node in &mut t.ases {
+            node.providers.clear();
+            node.peers.clear();
+            node.customers.clear();
+        }
+        t
+    }
+
+    #[test]
+    fn peer_routes_follow_the_exporters_peer_list() {
+        // `dst` buys transit from `p`; `src` lists `p` as a peer but `p`
+        // does not list `src` (as the cloud lists tier-1s that do not
+        // list it back). `p` never exports to `src`.
+        let mut t = unconnected();
+        let [src, p, dst] = [AsId(1), AsId(2), AsId(3)];
+        t.ases[3].providers.push(p);
+        t.ases[2].customers.push(dst);
+        t.ases[1].peers.push(p);
+        let one_sided = Routing::new(&t);
+        assert_eq!(one_sided.as_path(src, dst), None);
+        assert_eq!(one_sided.as_path(p, dst), Some(vec![p, dst]));
+        // Listed on the exporter's side, the peer route exists.
+        t.ases[2].peers.push(src);
+        let exported = Routing::new(&t);
+        assert_eq!(exported.as_path(src, dst), Some(vec![src, p, dst]));
+        assert_eq!(table_walk(&exported, src, dst), Some(vec![src, p, dst]));
+    }
+
+    #[test]
+    fn equal_length_routes_break_ties_on_the_lowest_next_hop() {
+        // `dst` buys transit from `lo` and `hi`, which both buy from
+        // `src`: two customer routes of length 2. The later-visited
+        // provider must not win the tie.
+        let mut t = unconnected();
+        let [src, lo, hi, dst] = [AsId(1), AsId(2), AsId(3), AsId(4)];
+        t.ases[4].providers = vec![lo, hi];
+        for mid in [2, 3] {
+            t.ases[mid].customers.push(dst);
+            t.ases[mid].providers.push(src);
+        }
+        t.ases[1].customers = vec![lo, hi];
+        let r = Routing::new(&t);
+        assert_eq!(r.as_path(src, dst), Some(vec![src, lo, dst]));
+        assert_eq!(table_walk(&r, src, dst), Some(vec![src, lo, dst]));
     }
 
     #[test]
