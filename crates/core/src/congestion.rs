@@ -17,10 +17,14 @@
 //! Days and hours are reckoned in the *server's local time*, as §4.2 does
 //! ("We converted the timezone to the location of the test servers to
 //! better align with user activities").
+//!
+//! The per-day fold and the event tally are [`clasp_stats::dayfold`],
+//! shared with the streaming engine and the serve `congestion` verb.
 
 use crate::world::World;
 use clasp_stats::elbow::threshold_sweep;
-use std::collections::HashMap;
+use clasp_stats::{DayWindow, HourTally};
+use simnet::time::SimTime;
 use tsdb::Db;
 
 /// One (series, local-day) variability record.
@@ -107,9 +111,11 @@ impl CongestionAnalysis {
     pub fn build(db: &mut Db, world: &World, field: &str, filters: &[(String, String)]) -> Self {
         let mut series_infos = Vec::new();
         let mut day_vars = Vec::new();
-        let mut samples = Vec::new();
+        let matching = db.matching_series("speedtest", filters);
+        // An upper bound, allocated once rather than grown by doubling.
+        let mut samples = Vec::with_capacity(matching.iter().map(|s| s.len()).sum());
 
-        for s in db.matching_series("speedtest", filters) {
+        for s in matching {
             let server = s.tags.get("server").cloned().unwrap_or_default();
             let region = s.tags.get("region").cloned().unwrap_or_default();
             let tier = s.tags.get("tier").cloned().unwrap_or_default();
@@ -121,46 +127,39 @@ impl CongestionAnalysis {
                 .unwrap_or(0);
             let series_idx = u32::try_from(series_infos.len()).expect("series count fits u32");
 
-            // Bucket samples into local days.
-            let mut by_day: HashMap<i64, Vec<(u64, f64)>> = HashMap::new();
-            for (t, fields) in s.samples() {
-                let Some(v) = fields.get(field) else { continue };
-                let st = simnet::time::SimTime(*t);
-                by_day
-                    .entry(st.local_day(utc_offset))
-                    .or_default()
-                    .push((*t, *v));
-            }
-            let mut days: Vec<i64> = by_day.keys().copied().collect();
-            days.sort_unstable();
-            for d in days {
-                let entries = &by_day[&d];
-                let t_max = entries
-                    .iter()
-                    .map(|e| e.1)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let t_min = entries.iter().map(|e| e.1).fold(f64::INFINITY, f64::min);
-                if t_max <= 0.0 {
-                    continue;
+            // Samples are time-ordered, so each local day is one run.
+            let local_day = |t: u64| SimTime(t).local_day(utc_offset);
+            for run in s
+                .samples()
+                .chunk_by(|a, b| local_day(a.0) == local_day(b.0))
+            {
+                let mut window = DayWindow::default();
+                for (t, fields) in run {
+                    if let Some(&v) = fields.get(field) {
+                        window.push(*t, v);
+                    }
                 }
+                let (Some(day), Some(&(t0, _))) = (window.seal(), run.first()) else {
+                    continue;
+                };
+                let d = local_day(t0);
                 day_vars.push(DayVariability {
                     series: key.clone(),
                     server: server.clone(),
                     local_day: d,
-                    v: (t_max - t_min) / t_max,
-                    t_max,
-                    t_min,
-                    n: entries.len(),
+                    v: day.v,
+                    t_max: day.t_max,
+                    t_min: day.t_min,
+                    n: day.n(),
                 });
-                for &(t, v) in entries {
-                    let st = simnet::time::SimTime(t);
+                for (t, value, v_h) in day.hours() {
                     samples.push(HourSample {
                         series_idx,
                         time: t,
-                        local_hour: st.local_hour(utc_offset) as u8,
+                        local_hour: SimTime(t).local_hour(utc_offset) as u8,
                         local_day: d,
-                        value: v,
-                        v_h: (t_max - v) / t_max,
+                        value,
+                        v_h,
                     });
                 }
             }
@@ -223,69 +222,47 @@ impl CongestionAnalysis {
     /// Per-series hourly congestion probability at threshold `h`:
     /// `[events/trials; 24]` in server-local hours (Fig. 6).
     pub fn hourly_probability(&self, h: f64) -> Vec<[f64; 24]> {
-        let mut events = vec![[0u32; 24]; self.series.len()];
-        let mut trials = vec![[0u32; 24]; self.series.len()];
-        for s in &self.samples {
-            let hh = (s.local_hour as usize).min(23);
-            trials[s.series_idx as usize][hh] += 1;
-            if s.v_h > h {
-                events[s.series_idx as usize][hh] += 1;
-            }
-        }
-        events
-            .iter()
-            .zip(&trials)
-            .map(|(e, t)| {
-                let mut out = [0.0; 24];
-                for i in 0..24 {
-                    if t[i] > 0 {
-                        out[i] = e[i] as f64 / t[i] as f64;
-                    }
-                }
-                out
-            })
-            .collect()
+        self.tallies(h).iter().map(HourTally::probability).collect()
     }
 
     /// Total events per series at threshold `h` (for top-N ranking).
     pub fn events_per_series(&self, h: f64) -> Vec<u32> {
-        let mut counts = vec![0u32; self.series.len()];
-        for s in &self.samples {
-            if s.v_h > h {
-                counts[s.series_idx as usize] += 1;
-            }
-        }
-        counts
+        self.tallies(h)
+            .iter()
+            .map(|t| t.events.iter().sum())
+            .collect()
     }
 
     /// Servers labelled *congested*: more than `min_day_fraction` of
     /// their days contain at least one event at threshold `h` (the Fig. 8
     /// criterion, 10 %).
     pub fn congested_series(&self, h: f64, min_day_fraction: f64) -> Vec<bool> {
-        // series → (days with events, days total). Ordered map: the
-        // fold below is commutative, but canonical iteration keeps the
-        // path determinism-lintable without a suppression.
-        let mut day_events: std::collections::BTreeMap<(u32, i64), bool> =
-            std::collections::BTreeMap::new();
-        for s in &self.samples {
-            let e = day_events
-                .entry((s.series_idx, s.local_day))
-                .or_insert(false);
-            *e |= s.v_h > h;
-        }
-        let mut with_events = vec![0u32; self.series.len()];
-        let mut total_days = vec![0u32; self.series.len()];
-        for ((idx, _), had) in &day_events {
-            total_days[*idx as usize] += 1;
-            if *had {
-                with_events[*idx as usize] += 1;
-            }
-        }
-        with_events
+        self.tallies(h)
             .iter()
-            .zip(&total_days)
-            .map(|(&e, &t)| t > 0 && e as f64 / t as f64 > min_day_fraction)
+            .map(|t| t.congested(min_day_fraction))
             .collect()
+    }
+
+    /// Per-series event tally at threshold `h`. `samples` is series-major
+    /// and day-ordered, so each (series, local day) is one run.
+    fn tallies(&self, h: f64) -> Vec<HourTally> {
+        let mut out = vec![HourTally::default(); self.series.len()];
+        for run in self
+            .samples
+            .chunk_by(|a, b| (a.series_idx, a.local_day) == (b.series_idx, b.local_day))
+        {
+            let Some(tally) = run.first().and_then(|s| out.get_mut(s.series_idx as usize)) else {
+                continue;
+            };
+            let mut had_event = false;
+            for s in run {
+                let event = s.v_h > h;
+                tally.hour(s.local_hour, event);
+                had_event |= event;
+            }
+            tally.day(had_event);
+        }
+        out
     }
 }
 

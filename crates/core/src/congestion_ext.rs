@@ -19,7 +19,7 @@
 //! [`compare_methods`] quantifies how the two relate to the paper's
 //! threshold labels on identical data.
 
-use crate::congestion::CongestionAnalysis;
+use crate::congestion::{CongestionAnalysis, SeriesInfo};
 use clasp_stats::autocorr::{diurnal_signal, DiurnalSignal};
 use clasp_stats::hmm::GaussianHmm;
 
@@ -47,16 +47,7 @@ pub const MIN_SEPARATION: f64 = 0.35;
 /// Runs the HMM detector over every series of an analysis.
 pub fn hmm_detect(analysis: &CongestionAnalysis) -> Vec<HmmSeries> {
     let mut out = Vec::new();
-    for (idx, info) in analysis.series.iter().enumerate() {
-        let idx = u32::try_from(idx).expect("series count fits u32");
-        let mut series: Vec<(u64, f64)> = analysis
-            .samples
-            .iter()
-            .filter(|s| s.series_idx == idx)
-            .map(|s| (s.time, s.value))
-            .collect();
-        series.sort_by_key(|s| s.0);
-        let values: Vec<f64> = series.into_iter().map(|(_, v)| v).collect();
+    for (info, values) in series_values(analysis) {
         let Some((model, _)) = GaussianHmm::train(&values, 25, 1e-3) else {
             continue;
         };
@@ -92,24 +83,27 @@ pub fn hmm_detect(analysis: &CongestionAnalysis) -> Vec<HmmSeries> {
 /// skipped (no stable lag-24 estimate).
 pub fn diurnal_detect(analysis: &CongestionAnalysis) -> Vec<(String, DiurnalSignal)> {
     let mut out = Vec::new();
-    for (idx, info) in analysis.series.iter().enumerate() {
-        let idx = u32::try_from(idx).expect("series count fits u32");
-        let mut series: Vec<(u64, f64)> = analysis
-            .samples
-            .iter()
-            .filter(|s| s.series_idx == idx)
-            .map(|s| (s.time, s.value))
-            .collect();
-        if series.len() < 72 {
+    for (info, values) in series_values(analysis) {
+        if values.len() < 72 {
             continue;
         }
-        series.sort_by_key(|s| s.0);
-        let values: Vec<f64> = series.into_iter().map(|(_, v)| v).collect();
         if let Some(sig) = diurnal_signal(&values) {
             out.push((info.key.clone(), sig));
         }
     }
     out
+}
+
+/// Each series with its values in time order (empty when it has no
+/// samples). `analysis.samples` is series-major and time-ordered, so one
+/// series is one contiguous slice.
+fn series_values(analysis: &CongestionAnalysis) -> impl Iterator<Item = (&SeriesInfo, Vec<f64>)> {
+    let mut rest = analysis.samples.as_slice();
+    analysis.series.iter().zip(0u32..).map(move |(info, idx)| {
+        let (own, tail) = rest.split_at(rest.partition_point(|s| s.series_idx == idx));
+        rest = tail;
+        (info, own.iter().map(|s| s.value).collect())
+    })
 }
 
 /// How the extended detectors relate to the paper's threshold method.

@@ -8,8 +8,9 @@
 //! in the same rendered-response cache, with the same byte-equality
 //! guarantee, as plain queries.
 //!
-//! The math mirrors `clasp-core`'s `CongestionAnalysis` exactly, over
-//! the hourly mean series of one field:
+//! The per-day fold and the event tally are [`clasp_stats::dayfold`],
+//! the same code `clasp-core`'s `CongestionAnalysis` runs, here over the
+//! hourly mean series of one field:
 //!
 //! * per series and server-local day `d`:
 //!   `V(s,d) = (Tmax − Tmin) / Tmax`, with days whose `Tmax ≤ 0`
@@ -25,8 +26,8 @@
 //! days filter to one server per request and pass its offset, exactly
 //! as the equivalence tests do.
 
+use clasp_stats::{DayWindow, HourTally};
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
 use tsdb::{Aggregate, Query, Snapshot};
 
 /// Detection threshold the paper lands on (H = 0.5).
@@ -186,62 +187,39 @@ impl CongestionSpec {
     pub fn evaluate(&self, snap: &Snapshot) -> CongestionReport {
         let results = self.hourly_query().run_snapshot(snap);
         let mut labels = Vec::with_capacity(results.len());
-        let mut hour_events = [0u64; 24];
-        let mut hour_trials = [0u64; 24];
+        let mut pooled = HourTally::default();
         for r in &results {
-            // Bucket hourly rows into server-local days.
-            let mut by_day: BTreeMap<i64, Vec<(u64, f64)>> = BTreeMap::new();
-            for row in &r.rows {
-                by_day
-                    .entry(self.local_day(row.time))
-                    .or_default()
-                    .push((row.time, row.value));
-            }
-            let mut days = 0u32;
-            let mut event_days = 0u32;
-            let mut events = 0u32;
-            let mut samples = 0u32;
-            for rows in by_day.values() {
-                let t_max = rows.iter().map(|e| e.1).fold(f64::NEG_INFINITY, f64::max);
-                if t_max <= 0.0 {
-                    // Mirrors the in-process analysis: a day with no
-                    // positive throughput carries no signal.
-                    continue;
+            // Rows are time-ordered, so each local day is one run.
+            let mut tally = HourTally::default();
+            for run in r
+                .rows
+                .chunk_by(|a, b| self.local_day(a.time) == self.local_day(b.time))
+            {
+                let mut window = DayWindow::default();
+                for row in run {
+                    window.push(row.time, row.value);
                 }
-                days += 1;
+                let Some(day) = window.seal() else { continue };
                 let mut had_event = false;
-                for &(t, value) in rows {
-                    samples += 1;
-                    let hh = self.local_hour(t);
-                    hour_trials[hh] += 1;
-                    if (t_max - value) / t_max > self.h {
-                        events += 1;
-                        hour_events[hh] += 1;
-                        had_event = true;
-                    }
+                for (t, _, v_h) in day.hours() {
+                    let (hour, event) = (self.local_hour(t), v_h > self.h);
+                    tally.hour(hour, event);
+                    pooled.hour(hour, event);
+                    had_event |= event;
                 }
-                if had_event {
-                    event_days += 1;
-                }
+                tally.day(had_event);
             }
-            let congested =
-                days > 0 && f64::from(event_days) / f64::from(days) > self.min_day_fraction;
             labels.push(SeriesLabel {
                 series: r.series_key.clone(),
                 server: series_tag(&r.series_key, "server").unwrap_or_default(),
-                days,
-                event_days,
-                events,
-                samples,
-                congested,
+                days: tally.days,
+                event_days: tally.event_days,
+                events: tally.events.iter().sum(),
+                samples: tally.trials.iter().sum(),
+                congested: tally.congested(self.min_day_fraction),
             });
         }
-        let mut hours = [0.0f64; 24];
-        for (i, p) in hours.iter_mut().enumerate() {
-            if hour_trials[i] > 0 {
-                *p = hour_events[i] as f64 / hour_trials[i] as f64;
-            }
-        }
+        let hours = pooled.probability();
         CongestionReport { labels, hours }
     }
 
@@ -249,9 +227,9 @@ impl CongestionSpec {
         (t as i64 + self.utc_offset_hours * HOUR as i64).div_euclid(DAY)
     }
 
-    fn local_hour(&self, t: u64) -> usize {
+    fn local_hour(&self, t: u64) -> u8 {
         let secs = (t as i64 + self.utc_offset_hours * HOUR as i64).rem_euclid(DAY);
-        (secs / HOUR as i64) as usize
+        (secs / HOUR as i64) as u8
     }
 }
 

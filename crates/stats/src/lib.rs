@@ -8,6 +8,8 @@
 //! * [`ecdf`] — empirical CDFs used for the tier-comparison plots (Fig. 5);
 //! * [`kde`] — Gaussian kernel density estimation used for the marginal
 //!   density curves on the Fig. 4 scatter plots;
+//! * [`dayfold`] — the §3.3 per-local-day fold (`V(s,d)`, `V_H(s,t)`)
+//!   and its per-hour event tally, shared by every congestion consumer;
 //! * [`elbow`] — elbow-point detection used to pick the congestion
 //!   threshold `H` from the variability sweep (Fig. 2, §3.3);
 //! * [`histogram`] — fixed-width binning for hour-of-day congestion
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod autocorr;
+pub mod dayfold;
 pub mod ecdf;
 pub mod elbow;
 pub mod histogram;
@@ -37,6 +40,7 @@ pub mod rollwin;
 pub mod summary;
 
 pub use autocorr::{acf, autocorrelation, diurnal_signal};
+pub use dayfold::{ClosedDay, DayWindow, HourTally};
 pub use ecdf::Ecdf;
 pub use elbow::{elbow_index, StreamingElbow};
 pub use histogram::Histogram;

@@ -3,9 +3,10 @@
 //! One [`StreamEngine`] consumes a stream of [`Point`]s (usually drained
 //! from a [`tsdb::Tail`] subscription) and maintains per-series daily
 //! windows, hourly labels, the online elbow recalibration and the alert
-//! state machines. Every per-point update is O(1) amortized: the daily
-//! extrema are running folds, the live window uses monotonic deques, and
-//! the elbow histogram is touched once per *series-day*, not per point.
+//! state machines. Every per-point update is O(1) amortized: a daily
+//! window appends the point and folds its extrema once at day close, the
+//! live window uses monotonic deques, and the elbow histogram is touched
+//! once per *series-day*, not per point.
 //!
 //! Label emission is deferred to *day close*: the paper's `V_H(s,t)`
 //! normalizes against the day's final `Tmax`, which is only known once
@@ -14,7 +15,7 @@
 //! [`StreamEngine::finalize`] closes everything that remains.
 
 use crate::alert::{AlertPolicy, AlertState, CongestionAlert};
-use clasp_stats::{SlidingExtrema, StreamingElbow};
+use clasp_stats::{DayWindow, HourTally, SlidingExtrema, StreamingElbow};
 use simnet::time::{SimTime, HOUR, SECONDS_PER_DAY};
 use std::collections::BTreeMap;
 use tsdb::Point;
@@ -172,29 +173,6 @@ pub struct EngineStats {
     pub alert_transitions: u64,
 }
 
-/// One open daily window: running extrema + the hour entries, kept until
-/// the day closes and its labels can be normalized.
-#[derive(Debug, Clone)]
-pub(crate) struct DayWindow {
-    pub(crate) t_max: f64,
-    pub(crate) t_min: f64,
-    pub(crate) entries: Vec<(u64, f64)>,
-    /// Entries arrived out of time order; stable-sort at close (the same
-    /// lazy re-sort the Db applies, so label order still matches batch).
-    pub(crate) ooo: bool,
-}
-
-impl Default for DayWindow {
-    fn default() -> Self {
-        Self {
-            t_max: f64::NEG_INFINITY,
-            t_min: f64::INFINITY,
-            entries: Vec::new(),
-            ooo: false,
-        }
-    }
-}
-
 /// Mutable per-series state.
 #[derive(Debug)]
 pub(crate) struct SeriesState {
@@ -209,10 +187,8 @@ pub(crate) struct SeriesState {
     pub(crate) last_time: Option<u64>,
     /// Advisory live trailing window (not part of snapshots).
     pub(crate) live: SlidingExtrema,
-    pub(crate) hour_events: [u32; 24],
-    pub(crate) hour_trials: [u32; 24],
-    pub(crate) days_total: u32,
-    pub(crate) days_with_event: u32,
+    /// Events and trials of the closed days.
+    pub(crate) tally: HourTally,
     pub(crate) last_label_time: u64,
     pub(crate) alert: AlertState,
 }
@@ -226,10 +202,7 @@ impl SeriesState {
             closed_through: i64::MIN,
             last_time: None,
             live: SlidingExtrema::new(live_window_secs),
-            hour_events: [0; 24],
-            hour_trials: [0; 24],
-            days_total: 0,
-            days_with_event: 0,
+            tally: HourTally::default(),
             last_label_time: 0,
             alert: AlertState::default(),
         }
@@ -344,15 +317,7 @@ impl StreamEngine {
             stats.late_dropped += 1;
             return;
         }
-        let w = st.open.entry(day).or_default();
-        if let Some(&(last, _)) = w.entries.last() {
-            if p.time < last {
-                w.ooo = true;
-            }
-        }
-        w.t_max = w.t_max.max(value);
-        w.t_min = w.t_min.min(value);
-        w.entries.push((p.time, value));
+        st.open.entry(day).or_default().push(p.time, value);
         stats.window_updates += 1;
 
         if day > st.max_day {
@@ -445,18 +410,11 @@ impl StreamEngine {
 
     /// Seals one daily window: variability record, threshold update,
     /// hourly labels, alert steps.
-    fn close_day(&mut self, idx: usize, day: i64, mut w: DayWindow) {
+    fn close_day(&mut self, idx: usize, day: i64, w: DayWindow) {
         self.stats.days_closed += 1;
-        // Same skip rule as the batch analysis: a day whose maximum is
-        // not positive yields neither a variability record nor labels.
-        if w.t_max <= 0.0 {
+        let Some(closed) = w.seal() else {
             return;
-        }
-        if w.ooo {
-            // Stable, time-keyed — the Db's lazy re-sort, so the label
-            // sequence matches the batch sample sequence exactly.
-            w.entries.sort_by_key(|&(t, _)| t);
-        }
+        };
         let Self {
             cfg,
             states,
@@ -469,8 +427,7 @@ impl StreamEngine {
             stats,
             ..
         } = self;
-        let v = (w.t_max - w.t_min) / w.t_max;
-        recal.add(v);
+        recal.add(closed.v);
         if let ThresholdMode::Auto { initial, min_days } = cfg.threshold {
             *current_h = if recal.total() >= min_days {
                 stats.recalibrations += 1;
@@ -484,25 +441,19 @@ impl StreamEngine {
         day_records.push(DayRecord {
             series_idx,
             local_day: day,
-            v,
-            t_max: w.t_max,
-            t_min: w.t_min,
-            n: w.entries.len(),
+            v: closed.v,
+            t_max: closed.t_max,
+            t_min: closed.t_min,
+            n: closed.n(),
         });
         let st = &mut states[idx];
-        st.days_total += 1;
         let offset = st.utc_offset;
         let mut any_event = false;
-        for (t, value) in w.entries {
+        for (t, value, v_h) in closed.hours() {
             let local_hour = SimTime(t).local_hour(offset) as u8;
-            let v_h = (w.t_max - value) / w.t_max;
             let congested = v_h > h;
-            let hh = (local_hour as usize).min(23);
-            st.hour_trials[hh] += 1;
-            if congested {
-                st.hour_events[hh] += 1;
-                any_event = true;
-            }
+            st.tally.hour(local_hour, congested);
+            any_event |= congested;
             st.last_label_time = t;
             let was_active = st.alert.active;
             if let Some((start, end, peak_v_h, events)) = st.alert.step(t, v_h, &cfg.alert) {
@@ -532,9 +483,7 @@ impl StreamEngine {
             });
             stats.labels_emitted += 1;
         }
-        if any_event {
-            st.days_with_event += 1;
-        }
+        st.tally.day(any_event);
     }
 
     // ------------------------------------------------------------------
@@ -609,15 +558,7 @@ impl StreamEngine {
     pub fn hourly_probability(&self) -> Vec<[f64; 24]> {
         self.states
             .iter()
-            .map(|st| {
-                let mut out = [0.0; 24];
-                for (i, slot) in out.iter_mut().enumerate() {
-                    if st.hour_trials[i] > 0 {
-                        *slot = st.hour_events[i] as f64 / st.hour_trials[i] as f64;
-                    }
-                }
-                out
-            })
+            .map(|st| st.tally.probability())
             .collect()
     }
 
@@ -626,10 +567,7 @@ impl StreamEngine {
     pub fn congested_series(&self, min_day_fraction: f64) -> Vec<bool> {
         self.states
             .iter()
-            .map(|st| {
-                st.days_total > 0
-                    && st.days_with_event as f64 / st.days_total as f64 > min_day_fraction
-            })
+            .map(|st| st.tally.congested(min_day_fraction))
             .collect()
     }
 

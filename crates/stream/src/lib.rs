@@ -7,9 +7,9 @@
 //! [`Tail`](tsdb::Tail) subscription on the [`Db`](tsdb::Db) insert
 //! stream — and maintains, per series:
 //!
-//! * sliding daily windows whose running extrema give the paper's
-//!   normalized peak-to-trough difference `V(s,d) = (Tmax − Tmin) / Tmax`
-//!   in O(1) per point;
+//! * daily windows that give the paper's normalized peak-to-trough
+//!   difference `V(s,d) = (Tmax − Tmin) / Tmax` at O(1) amortized cost
+//!   per point;
 //! * hourly congestion labels `V_H(s,t) > H`, emitted the moment a local
 //!   day closes (the per-hour `V_H` needs the day's final `Tmax`);
 //! * an online threshold recalibration that re-runs the elbow sweep over
@@ -26,9 +26,9 @@
 //! verdicts are *element-wise identical* to
 //! `clasp_core::congestion::CongestionAnalysis` built over the same
 //! database — including under fault injection, where the stream carries
-//! gaps and small reorderings. The engine applies the very same folds
-//! (`f64::max`/`f64::min` running extrema are order-independent), the
-//! same strict `>` comparisons and the same server-local day/hour
+//! gaps and small reorderings. Both run the one per-day fold and tally
+//! in [`clasp_stats::dayfold`] (whose `f64::max`/`f64::min` extrema are
+//! order-independent) with the same server-local day/hour
 //! reckoning, so the equality is bitwise, not approximate.
 //!
 //! **Resumability.** [`StreamEngine::snapshot`] serializes the full

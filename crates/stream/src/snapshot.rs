@@ -19,7 +19,7 @@
 use crate::alert::AlertState;
 use crate::engine::{DayRecord, EngineConfig, HourLabel, SeriesMeta, StreamEngine};
 use crate::CongestionAlert;
-use clasp_stats::StreamingElbow;
+use clasp_stats::{HourTally, StreamingElbow};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 
@@ -86,7 +86,29 @@ fn read_u64(v: &Value, what: &str) -> Result<u64, String> {
 }
 
 fn read_u32(v: &Value, what: &str) -> Result<u32, String> {
-    Ok(read_u64(v, what)? as u32)
+    u32::try_from(read_u64(v, what)?).map_err(|_| format!("{what}: out of range"))
+}
+
+/// A per-local-hour count array: exactly 24 entries, or the resume would
+/// silently diverge.
+fn read_hours(v: &Value, what: &str) -> Result<[u32; 24], String> {
+    let counts = read_array(v, what)?
+        .iter()
+        .map(|c| read_u32(c, what))
+        .collect::<Result<Vec<_>, _>>()?;
+    <[u32; 24]>::try_from(counts).map_err(|c| format!("{what}: {} entries, want 24", c.len()))
+}
+
+fn hours(counts: &[u32; 24]) -> Value {
+    Value::Array(counts.iter().map(|&c| u64::from(c).into()).collect())
+}
+
+fn read_offset(v: &Value) -> Result<i32, String> {
+    let f = v.as_f64().ok_or("series offset: not a number")?;
+    if f.fract() != 0.0 || !(-24.0..=24.0).contains(&f) {
+        return Err(format!("series offset {f}: not a whole hour in [-24, 24]"));
+    }
+    Ok(f as i32)
 }
 
 fn read_bool(v: &Value, what: &str) -> Result<bool, String> {
@@ -152,26 +174,10 @@ impl StreamEngine {
                 s.put("max_day", iv(st.max_day));
                 s.put("closed_through", iv(st.closed_through));
                 s.put("last_time", st.last_time.map_or(Value::Null, |t| t.into()));
-                s.put(
-                    "hour_events",
-                    Value::Array(
-                        st.hour_events
-                            .iter()
-                            .map(|&c| u64::from(c).into())
-                            .collect(),
-                    ),
-                );
-                s.put(
-                    "hour_trials",
-                    Value::Array(
-                        st.hour_trials
-                            .iter()
-                            .map(|&c| u64::from(c).into())
-                            .collect(),
-                    ),
-                );
-                s.put("days_total", u64::from(st.days_total));
-                s.put("days_with_event", u64::from(st.days_with_event));
+                s.put("hour_events", hours(&st.tally.events));
+                s.put("hour_trials", hours(&st.tally.trials));
+                s.put("days_total", u64::from(st.tally.days));
+                s.put("days_with_event", u64::from(st.tally.event_days));
                 s.put("last_label_time", st.last_label_time);
                 let mut a = Canon::new();
                 a.put("active", st.alert.active);
@@ -187,13 +193,12 @@ impl StreamEngine {
                     .map(|(&day, w)| {
                         let mut o = Canon::new();
                         o.put("day", iv(day));
-                        // Extrema and the out-of-order flag are folds over
-                        // the entry sequence; restore re-derives them by
-                        // replaying the pushes.
+                        // In arrival order: sealing folds the extrema and
+                        // stable-sorts ties in that order.
                         o.put(
                             "entries",
                             Value::Array(
-                                w.entries
+                                w.entries()
                                     .iter()
                                     .map(|&(t, v)| Value::Array(vec![t.into(), fb(v)]))
                                     .collect(),
@@ -329,33 +334,22 @@ impl StreamEngine {
                 server: read_str(get(s, "server", "series")?, "server")?,
                 region: read_str(get(s, "region", "series")?, "region")?,
                 tier: read_str(get(s, "tier", "series")?, "tier")?,
-                utc_offset: get(s, "offset", "series")?
-                    .as_f64()
-                    .ok_or("series offset: not a number")? as i32,
+                utc_offset: read_offset(get(s, "offset", "series")?)?,
             };
             let idx = engine.register_series(meta);
             let st = &mut engine.states[idx];
             st.max_day = read_iv(get(s, "max_day", "series")?, "max_day")?;
+            st.closed_through = read_iv(get(s, "closed_through", "series")?, "closed_through")?;
             st.last_time = match get(s, "last_time", "series")? {
                 Value::Null => None,
                 v => Some(read_u64(v, "last_time")?),
             };
-            for (slot, v) in st
-                .hour_events
-                .iter_mut()
-                .zip(read_array(get(s, "hour_events", "series")?, "hour_events")?)
-            {
-                *slot = read_u32(v, "hour_events")?;
-            }
-            for (slot, v) in st
-                .hour_trials
-                .iter_mut()
-                .zip(read_array(get(s, "hour_trials", "series")?, "hour_trials")?)
-            {
-                *slot = read_u32(v, "hour_trials")?;
-            }
-            st.days_total = read_u32(get(s, "days_total", "series")?, "days_total")?;
-            st.days_with_event = read_u32(get(s, "days_with_event", "series")?, "days_with_event")?;
+            st.tally = HourTally {
+                events: read_hours(get(s, "hour_events", "series")?, "hour_events")?,
+                trials: read_hours(get(s, "hour_trials", "series")?, "hour_trials")?,
+                days: read_u32(get(s, "days_total", "series")?, "days_total")?,
+                event_days: read_u32(get(s, "days_with_event", "series")?, "days_with_event")?,
+            };
             st.last_label_time = read_u64(get(s, "last_label_time", "series")?, "last_label_time")?;
             let a = get(s, "alert", "series")?;
             st.alert = AlertState {
@@ -369,29 +363,13 @@ impl StreamEngine {
             for o in read_array(get(s, "open", "series")?, "open")? {
                 let day = read_iv(get(o, "day", "open window")?, "open day")?;
                 for e in read_array(get(o, "entries", "open window")?, "entries")? {
-                    let pair = read_array(e, "entry")?;
-                    if pair.len() != 2 {
+                    let [t, v] = read_array(e, "entry")?.as_slice() else {
                         return Err("open-window entry is not a [time, value] pair".into());
-                    }
-                    let t = read_u64(&pair[0], "entry time")?;
-                    let v = read_fb(&pair[1], "entry value")?;
-                    // Replaying the pushes re-derives the running extrema
-                    // and the out-of-order flag bit-exactly.
-                    let st = &mut engine.states[idx];
-                    let w = st.open.entry(day).or_default();
-                    if let Some(&(last, _)) = w.entries.last() {
-                        if t < last {
-                            w.ooo = true;
-                        }
-                    }
-                    w.t_max = w.t_max.max(v);
-                    w.t_min = w.t_min.min(v);
-                    w.entries.push((t, v));
+                    };
+                    let (t, v) = (read_u64(t, "entry time")?, read_fb(v, "entry value")?);
+                    st.open.entry(day).or_default().push(t, v);
                 }
             }
-            // Set after window replay so `or_default` inserts stay legal.
-            engine.states[idx].closed_through =
-                read_iv(get(s, "closed_through", "series")?, "closed_through")?;
         }
 
         for d in read_array(get(snap, "day_records", "snapshot")?, "day_records")? {
@@ -628,5 +606,46 @@ mod tests {
         assert!(StreamEngine::restore(cfg(), offsets(), &wrong_version)
             .unwrap_err()
             .contains("version"));
+    }
+
+    /// `snap` re-parsed with the first `from` in its bytes replaced by `to`.
+    fn edited(snap: &Value, from: &str, to: &str) -> Value {
+        let text = serde_json::to_string(snap);
+        assert!(text.contains(from), "snapshot lacks {from}");
+        serde_json::from_str(&text.replacen(from, to, 1)).unwrap()
+    }
+
+    #[test]
+    fn restore_rejects_hour_arrays_not_24_long() {
+        // One open point: every hour count is still zero.
+        let mut e = StreamEngine::new(cfg(), offsets());
+        e.ingest(&point("s1", 5 * HOUR, 80.0));
+        let snap = e.snapshot();
+        for key in ["hour_events", "hour_trials"] {
+            let from = format!("\"{key}\":[0,");
+            for to in [format!("\"{key}\":["), format!("\"{key}\":[0,0,")] {
+                let err = StreamEngine::restore(cfg(), offsets(), &edited(&snap, &from, &to))
+                    .unwrap_err();
+                assert!(err.contains(key) && err.contains("want 24"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_fractional_or_huge_offsets() {
+        let mut e = StreamEngine::new(cfg(), offsets());
+        e.ingest(&point("s1", 5 * HOUR, 80.0));
+        let snap = e.snapshot();
+        for bad in ["5.5", "1e12", "-25", "\"-5\""] {
+            let err = StreamEngine::restore(
+                cfg(),
+                offsets(),
+                &edited(&snap, "\"offset\":-5", &format!("\"offset\":{bad}")),
+            )
+            .unwrap_err();
+            assert!(err.contains("offset"), "{bad}: {err}");
+        }
+        let ok = edited(&snap, "\"offset\":-5", "\"offset\":-24");
+        assert!(StreamEngine::restore(cfg(), offsets(), &ok).is_ok());
     }
 }
