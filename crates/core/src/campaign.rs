@@ -536,6 +536,8 @@ impl<'w> Campaign<'w> {
                             *budget,
                             &self.config.pilot,
                         );
+                        shard.inc("prep.pilot_flows", sel.pilot_flows);
+                        shard.inc("prep.pilot_paths", sel.pilot_paths);
                         // The plan (and the vm_plan metrics derived
                         // from it) is computed even for completed
                         // units: it is a pure function of world +
@@ -598,6 +600,7 @@ impl<'w> Campaign<'w> {
                             region_city,
                             &self.config.pretest,
                         );
+                        shard.inc("prep.pretest_probes", sel.pretest_probes);
                         let servers: Vec<String> =
                             sel.picks.iter().map(|p| p.server_id.clone()).collect();
                         let vm_plan = [Tier::Premium, Tier::Standard]
@@ -919,7 +922,9 @@ impl<'w> Campaign<'w> {
     }
 
     /// Resolves the path pair for every server in `ids` (paths are
-    /// stable across the campaign; CLASP re-selects only at start).
+    /// stable across the campaign; CLASP re-selects only at start). An id
+    /// missing from the registry gets no pair, like an unroutable server:
+    /// the VM loop skips ids without one.
     fn resolve_pairs(
         &self,
         session: &crate::world::Session<'_>,
@@ -932,11 +937,9 @@ impl<'w> Campaign<'w> {
         let vm_ip = self.world.topo.vm_ip(region_city, 0);
         let mut pairs = std::collections::HashMap::new();
         for sid in ids {
-            let server = self
-                .world
-                .registry
-                .by_id(sid)
-                .expect("selected servers exist");
+            let Some(server) = self.world.registry.by_id(sid) else {
+                continue;
+            };
             if let Some(pair) =
                 client.resolve_paths(&session.paths, region_city, vm_ip, server, tier)
             {
@@ -1457,6 +1460,27 @@ mod tests {
     }
 
     #[test]
+    fn unknown_server_id_gets_no_pair() {
+        let world = World::tiny(121);
+        let campaign = Campaign::new(&world, CampaignConfig::small(121));
+        let session = world.session();
+        let client = SpeedTestClient::default();
+        let region = world.provider.region("us-west1").unwrap();
+        let known: Vec<String> = world.registry.in_country("US")[..8]
+            .iter()
+            .map(|s| s.id.clone())
+            .collect();
+        let mut ids = vec!["no-such-server".to_string()];
+        ids.extend(known.iter().cloned());
+        let pairs = campaign.resolve_pairs(&session, &client, region, Tier::Premium, &ids);
+        let known_pairs = campaign.resolve_pairs(&session, &client, region, Tier::Premium, &known);
+        assert!(!known_pairs.is_empty());
+        assert!(!pairs.contains_key("no-such-server"));
+        let keys = |m: &PairMap<'_>| m.keys().cloned().collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(keys(&pairs), keys(&known_pairs));
+    }
+
+    #[test]
     fn campaign_produces_hourly_series() {
         let (_, res) = run_small();
         assert!(res.tests_run > 0);
@@ -1805,6 +1829,14 @@ mod tests {
         assert_eq!(m.counter("ingest.objects"), observed.raw_objects);
         assert_eq!(m.counter("ingest.points"), observed.db.points_written);
         assert_eq!(m.counter("prep.units"), 2);
+        let topo_sel = &observed.topo_selections[0];
+        assert_eq!(m.counter("prep.pilot_flows"), topo_sel.pilot_flows);
+        assert_eq!(m.counter("prep.pilot_paths"), topo_sel.pilot_paths);
+        assert!(topo_sel.pilot_paths > 0 && topo_sel.pilot_paths < topo_sel.pilot_flows);
+        assert_eq!(
+            m.counter("prep.pretest_probes"),
+            observed.diff_selections[0].pretest_probes
+        );
         // Spans: campaign root + three phases, clock strictly advanced.
         let spans = obs.spans();
         assert_eq!(spans.len(), 4);

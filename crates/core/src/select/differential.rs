@@ -17,7 +17,7 @@ use simnet::routing::{Paths, Tier};
 use simnet::time::SimTime;
 use simnet::topology::AsId;
 use speedtest::vantage::VantageSet;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Latency relation between the tiers for a candidate tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +65,8 @@ pub struct DifferentialSelection {
     pub candidate_tuples: usize,
     /// The selected servers.
     pub picks: Vec<DifferentialPick>,
+    /// Pre-test RTT evaluations (probes over every VP and tier).
+    pub pretest_probes: u64,
 }
 
 /// Pre-test parameters.
@@ -98,6 +100,55 @@ impl Default for PreTestConfig {
     }
 }
 
+/// The pre-test's `(AS, city, premium median, standard median)` tuples
+/// in `(AS, city)` order, with the RTT evaluations it took.
+fn pretest_tuples(
+    world: &World,
+    paths: &Paths<'_>,
+    perf: &PerfModel<'_>,
+    region_city: CityId,
+    cfg: &PreTestConfig,
+) -> (Vec<(AsId, CityId, f64, f64)>, u64) {
+    let topo = &world.topo;
+    let vm_ip = topo.vm_ip(region_city, 1);
+    // Every VP is its own <city, AS> tuple (region and tier fixed per
+    // call), so a tuple's samples are one (VP, tier) slice: its median is
+    // taken as the slice arrives, the premium one held until the same
+    // VP's standard slice follows. Tuples need both tiers with enough
+    // samples.
+    let mut tuples: Vec<(AsId, CityId, f64, f64)> = Vec::new();
+    let mut premium: Option<(u32, f64)> = None;
+    let mut pretest_probes = 0u64;
+    VantageSet::generate(topo, cfg.seed).probe_tiers(
+        paths,
+        perf,
+        region_city,
+        vm_ip,
+        SimTime::EPOCH,
+        cfg.probes_per_vp,
+        cfg.seed,
+        |vp, tier, rtts| {
+            pretest_probes += rtts.len() as u64;
+            if rtts.len() < cfg.min_samples {
+                return;
+            }
+            match tier {
+                Tier::Premium => premium = median(rtts).map(|m| (vp.id, m)),
+                Tier::Standard => {
+                    let Some((_, prem_med)) = premium.take().filter(|(id, _)| *id == vp.id) else {
+                        return;
+                    };
+                    if let Some(std_med) = median(rtts) {
+                        tuples.push((vp.as_id, vp.city, prem_med, std_med));
+                    }
+                }
+            }
+        },
+    );
+    tuples.sort_by_key(|(a, c, _, _)| (*a, *c));
+    (tuples, pretest_probes)
+}
+
 /// Runs the differential selection for one region.
 pub fn select(
     world: &World,
@@ -109,48 +160,7 @@ pub fn select(
 ) -> DifferentialSelection {
     let topo = &world.topo;
     let region_country = topo.cities.get(region_city).country;
-    let vm_ip = topo.vm_ip(region_city, 1);
-    let vps = VantageSet::generate(topo, cfg.seed);
-    let samples = vps.probe_tiers(
-        paths,
-        perf,
-        region_city,
-        vm_ip,
-        SimTime::EPOCH,
-        cfg.probes_per_vp,
-        cfg.seed,
-    );
-
-    // Group by <city, AS, tier> (region is fixed here). Ordered map:
-    // the tuple emission order below is observable downstream.
-    let mut grouped: BTreeMap<(AsId, CityId, bool), Vec<f64>> = BTreeMap::new();
-    for s in &samples {
-        let vp = &vps.vps[s.vp as usize];
-        grouped
-            .entry((vp.as_id, vp.city, s.tier == Tier::Premium))
-            .or_default()
-            .push(s.rtt_ms);
-    }
-
-    // Per-tuple medians where both tiers have enough samples.
-    let mut tuples: Vec<(AsId, CityId, f64, f64)> = Vec::new();
-    let mut seen: std::collections::BTreeSet<(u32, u16)> = std::collections::BTreeSet::new();
-    for (&(as_id, city, premium), rtts) in &grouped {
-        if !premium || !seen.insert((as_id.0, city.0)) {
-            continue;
-        }
-        let std_key = (as_id, city, false);
-        let Some(std_rtts) = grouped.get(&std_key) else {
-            continue;
-        };
-        if rtts.len() < cfg.min_samples || std_rtts.len() < cfg.min_samples {
-            continue;
-        }
-        let (Some(prem_med), Some(std_med)) = (median(rtts), median(std_rtts)) else {
-            continue;
-        };
-        tuples.push((as_id, city, prem_med, std_med));
-    }
+    let (tuples, pretest_probes) = pretest_tuples(world, paths, perf, region_city, cfg);
     let tuples_considered = tuples.len();
 
     // Candidate conditions.
@@ -166,24 +176,22 @@ pub fn select(
             None
         }
     };
-    let mut candidates: Vec<(AsId, CityId, LatencyClass, f64, f64)> = tuples
+    let mut remaining: Vec<(AsId, CityId, LatencyClass, f64, f64)> = tuples
         .into_iter()
         .filter_map(|(a, c, p, s)| classify(p, s).map(|cl| (a, c, cl, p, s)))
         .collect();
-    let candidate_tuples = candidates.len();
+    let candidate_tuples = remaining.len();
 
-    // Deterministic order, then greedy coverage maximisation with a
+    // Greedy coverage maximisation, in (AS, city) order, with a
     // per-class quota: the paper's selection deliberately includes all
     // three latency classes (Fig. 5 colours by them), so no single class
     // may take more than its share plus the unfilled remainder.
-    candidates.sort_by_key(|(a, c, _, _, _)| (a.0, c.0));
     let quota = cfg.picks.div_ceil(3) + 1;
     let mut class_counts: HashMap<LatencyClass, usize> = HashMap::new();
     let mut picks: Vec<DifferentialPick> = Vec::new();
     let mut seen_cities: std::collections::BTreeSet<u16> = Default::default();
     let mut seen_ases: std::collections::BTreeSet<u32> = Default::default();
     let mut seen_countries: std::collections::BTreeSet<&str> = Default::default();
-    let mut remaining = candidates.clone();
     while picks.len() < cfg.picks && !remaining.is_empty() {
         // Score: new country (4) + new city (2) + new AS (1); classes
         // over quota are heavily penalised but not excluded (so the
@@ -247,12 +255,14 @@ pub fn select(
         tuples_considered,
         candidate_tuples,
         picks,
+        pretest_probes,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn run(seed: u64) -> (World, DifferentialSelection) {
         let world = World::tiny(seed);
@@ -331,7 +341,8 @@ mod tests {
         let session = world.session();
         let cfg = PreTestConfig::default();
         let city = world.topo.cities.by_name(region).unwrap();
-        let samples = VantageSet::generate(&world.topo, cfg.seed).probe_tiers(
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        VantageSet::generate(&world.topo, cfg.seed).probe_tiers(
             &session.paths,
             &session.perf,
             city,
@@ -339,15 +350,16 @@ mod tests {
             SimTime::EPOCH,
             cfg.probes_per_vp,
             cfg.seed,
+            |vp, tier, rtts| {
+                for rtt in rtts {
+                    let bytes = vp.id.to_le_bytes().into_iter();
+                    let bytes = bytes.chain([(tier == Tier::Premium) as u8]);
+                    for b in bytes.chain(rtt.to_bits().to_le_bytes()) {
+                        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            },
         );
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for s in samples {
-            let bytes = s.vp.to_le_bytes().into_iter();
-            let bytes = bytes.chain([(s.tier == Tier::Premium) as u8]);
-            for b in bytes.chain(s.rtt_ms.to_bits().to_le_bytes()) {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        }
         h
     }
 
@@ -364,6 +376,78 @@ mod tests {
             probe_fingerprint(&world, "The Dalles"),
             0x7a37_6182_40a6_60a8
         );
+    }
+
+    /// The pre-test's direct per-VP medians equal the medians of its
+    /// samples grouped by `<AS, city, tier>`, bit for bit.
+    #[test]
+    fn pretest_tuples_equal_grouped_medians() {
+        let world = World::tiny(111);
+        let session = world.session();
+        for (region, probes_per_vp) in [
+            ("St. Ghislain", 120),
+            ("The Dalles", 120),
+            ("The Dalles", 90),
+        ] {
+            let cfg = PreTestConfig {
+                probes_per_vp,
+                ..PreTestConfig::default()
+            };
+            let city = world.topo.cities.by_name(region).unwrap();
+            let mut grouped: BTreeMap<(AsId, CityId, bool), Vec<f64>> = BTreeMap::new();
+            VantageSet::generate(&world.topo, cfg.seed).probe_tiers(
+                &session.paths,
+                &session.perf,
+                city,
+                world.topo.vm_ip(city, 1),
+                SimTime::EPOCH,
+                cfg.probes_per_vp,
+                cfg.seed,
+                |vp, tier, rtts| {
+                    grouped
+                        .entry((vp.as_id, vp.city, tier == Tier::Premium))
+                        .or_default()
+                        .extend_from_slice(rtts)
+                },
+            );
+            let mut expected = Vec::new();
+            for (&(as_id, city, premium), prem) in &grouped {
+                let Some(std) = grouped.get(&(as_id, city, false)).filter(|_| premium) else {
+                    continue;
+                };
+                if prem.len() >= cfg.min_samples && std.len() >= cfg.min_samples {
+                    expected.push((as_id, city, median(prem).unwrap(), median(std).unwrap()));
+                }
+            }
+            let (direct, probes) =
+                pretest_tuples(&world, &session.paths, &session.perf, city, &cfg);
+            let bits = |t: &[(AsId, CityId, f64, f64)]| -> Vec<(AsId, CityId, u64, u64)> {
+                t.iter()
+                    .map(|&(a, c, p, s)| (a, c, p.to_bits(), s.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&direct), bits(&expected), "{region} {probes_per_vp}");
+            let n_samples: usize = grouped.values().map(Vec::len).sum();
+            assert_eq!(probes, n_samples as u64);
+            assert_eq!(direct.is_empty(), probes_per_vp < 100);
+        }
+    }
+
+    /// Each vantage point of the paper world is its own `<AS, city>`
+    /// tuple, so a tuple's samples are one VP's: the fact that lets the
+    /// pre-test take medians per VP without grouping.
+    #[test]
+    fn paper_world_vantage_points_are_unique_tuples() {
+        // The paper world's seed (`analysis::harness::PAPER_SEED`).
+        let topo = simnet::topology::Topology::generate(simnet::topology::TopologyConfig {
+            seed: 0x5EED_CA1D,
+            ..Default::default()
+        });
+        let vps = VantageSet::generate(&topo, PreTestConfig::default().seed).vps;
+        let tuples: std::collections::BTreeSet<(AsId, CityId)> =
+            vps.iter().map(|v| (v.as_id, v.city)).collect();
+        assert!(vps.len() > 1_000, "{} VPs", vps.len());
+        assert_eq!(tuples.len(), vps.len(), "duplicate <AS, city> tuples");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! From a VM in each region:
 //!
 //! 1. run a `bdrmap` pilot scan to discover the region's interdomain
-//!    links (Table 1 column 1);
+//!    links (Table 1 column 1). The scan sweeps 16 ECMP flow ids over
+//!    two cities of every AS, but most flows of a target share one path,
+//!    so it folds each distinct path into bdrmap once, weighted by its
+//!    flows, instead of recording a traceroute per flow;
 //! 2. run paris-traceroutes to every US speed-test server, resolve hops
 //!    with prefix-to-AS, and match them against the bdrmap far-side IPs —
 //!    this groups servers by the border link they traverse (column 2 is
@@ -46,6 +49,10 @@ pub struct TopologySelection {
     pub servers: Vec<String>,
     /// For each selected server: the far-side IP of its border link.
     pub server_link: HashMap<String, Ipv4Addr>,
+    /// Pilot-scan flows the bdrmap fold stands for (one paris trace each).
+    pub pilot_flows: u64,
+    /// Distinct pilot-scan paths folded into bdrmap.
+    pub pilot_paths: u64,
 }
 
 impl TopologySelection {
@@ -103,6 +110,51 @@ pub fn select(
     )
 }
 
+/// The pilot scan's targets: the first `cities_per_as` cities of every
+/// non-cloud AS.
+fn scan_targets(world: &World, pilot: &PilotConfig) -> Vec<Target> {
+    let topo = &world.topo;
+    topo.non_cloud_ases()
+        .flat_map(|id| {
+            let cities = topo.as_node(id).cities.iter().take(pilot.cities_per_as);
+            cities.map(move |&city| Target {
+                as_id: id,
+                city,
+                ip: topo.host_ip(id, city, 0),
+            })
+        })
+        .collect()
+}
+
+/// Step 1: the region's bdrmap pilot scan, with the flows it stands for
+/// and the distinct paths it folded. Only hop IPs feed bdrmap, and a
+/// paris trace's hops are a function of its path, so each distinct path
+/// of a target's ECMP sweep is folded once, weighted by its flows.
+fn pilot_scan(
+    world: &World,
+    paths: &Paths<'_>,
+    region_city: CityId,
+    pilot: &PilotConfig,
+) -> (BdrMap, u64, u64) {
+    let mut bdr = BdrMap::default();
+    let (mut flows_total, mut paths_total) = (0u64, 0u64);
+    Scamper::default().paris_sweep(
+        paths,
+        region_city,
+        world.topo.vm_ip(region_city, 0),
+        &scan_targets(world, pilot),
+        Tier::Premium,
+        pilot.flows_per_target,
+        |hops, flows| {
+            bdr.observe(hops, flows, &world.p2a, simnet::topology::CLOUD_ASN);
+            flows_total += u64::from(flows);
+            paths_total += 1;
+        },
+    );
+    bdr.resolve_aliases(&SimAliasResolver::new(&world.topo, pilot.alias_coverage));
+    (bdr, flows_total, paths_total)
+}
+
 /// [`select`] against an explicit registry — used by the automatic
 /// re-selection of §5 to run the pilot against an updated server list.
 pub fn select_with_registry(
@@ -118,35 +170,7 @@ pub fn select_with_registry(
     let vm_ip = topo.vm_ip(region_city, 0);
 
     // --- 1. bdrmap pilot scan over the whole routed Internet. ---
-    let mut scan_targets: Vec<Target> = Vec::new();
-    for id in topo.non_cloud_ases() {
-        let node = topo.as_node(id);
-        for &city in node.cities.iter().take(pilot.cities_per_as) {
-            scan_targets.push(Target {
-                as_id: id,
-                city,
-                ip: topo.host_ip(id, city, 0),
-            });
-        }
-    }
-    let engine = Scamper::default();
-    let scan_traces = engine.trace_many(
-        paths,
-        region_city,
-        vm_ip,
-        &scan_targets,
-        Tier::Premium,
-        TraceMode::Paris,
-        pilot.flows_per_target,
-        pilot.seed,
-    );
-    let aliases = SimAliasResolver::new(topo, pilot.alias_coverage);
-    let bdr = BdrMap::infer(
-        &scan_traces,
-        &world.p2a,
-        simnet::topology::CLOUD_ASN,
-        &aliases,
-    );
+    let (bdr, pilot_flows, pilot_paths) = pilot_scan(world, paths, region_city, pilot);
 
     // --- 2. traceroute to all US servers; group by far-side IP. ---
     let us_servers: Vec<&speedtest::platform::Server> = registry.in_country("US");
@@ -219,6 +243,8 @@ pub fn select_with_registry(
         links_traversed,
         servers,
         server_link,
+        pilot_flows,
+        pilot_paths,
     }
 }
 
@@ -288,6 +314,46 @@ mod tests {
         for id in &sel.servers {
             let s = world.registry.by_id(id).expect("selected server exists");
             assert_eq!(s.country, "US");
+        }
+    }
+
+    /// The folded pilot scan infers exactly the map that recording every
+    /// flow's traceroute and running `BdrMap::infer` over them does.
+    #[test]
+    fn folded_pilot_equals_inference_over_recorded_traces() {
+        let pilot = PilotConfig::default();
+        for seed in [101, 102] {
+            let world = World::tiny(seed);
+            let session = world.session();
+            for region in cloudsim::ProviderProfile::gcp().topo_regions() {
+                let city = region.city_id(&world.topo.cities);
+                let (folded, flows, n_paths) = pilot_scan(&world, &session.paths, city, &pilot);
+                let traces = Scamper::default().trace_many(
+                    &session.paths,
+                    city,
+                    world.topo.vm_ip(city, 0),
+                    &scan_targets(&world, &pilot),
+                    Tier::Premium,
+                    TraceMode::Paris,
+                    pilot.flows_per_target,
+                    pilot.seed,
+                );
+                let aliases = SimAliasResolver::new(&world.topo, pilot.alias_coverage);
+                let inferred =
+                    BdrMap::infer(&traces, &world.p2a, simnet::topology::CLOUD_ASN, &aliases);
+                let label = format!("seed {seed} {}", region.name);
+                assert_eq!(flows, traces.len() as u64, "{label}");
+                assert!(n_paths > 0 && n_paths < flows, "{label}: {n_paths} paths");
+                assert!(folded.link_count() > 0, "{label}");
+                assert_eq!(folded.link_count(), inferred.link_count(), "{label}");
+                for (a, b) in folded.links.values().zip(inferred.links.values()) {
+                    assert_eq!(a.far_ip, b.far_ip, "{label}");
+                    assert_eq!(a.near_ip, b.near_ip, "{label}");
+                    assert_eq!(a.votes, b.votes, "{label}");
+                    assert_eq!(a.alias_owner, b.alias_owner, "{label}");
+                    assert_eq!(a.trace_count, b.trace_count, "{label}");
+                }
+            }
         }
     }
 

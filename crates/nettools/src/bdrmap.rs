@@ -17,6 +17,15 @@
 //!    votes with direct evidence.
 //!
 //! Silent hops make this genuinely fallible, exactly like the real tool.
+//!
+//! Inference is one fold: [`BdrMap::observe`] each path's responsive hops,
+//! weighted by how many traces reported them, then one
+//! [`BdrMap::resolve_aliases`] pass. [`BdrMap::infer`] runs it over
+//! recorded traceroutes; the pilot scan feeds it the distinct paths of its
+//! ECMP sweep straight from [`Scamper::paris_sweep`], without building a
+//! trace per flow.
+//!
+//! [`Scamper::paris_sweep`]: crate::scamper::Scamper::paris_sweep
 
 use crate::traceroute::Traceroute;
 use simnet::asn::Asn;
@@ -78,7 +87,9 @@ pub struct BdrMap {
 }
 
 impl BdrMap {
-    /// Runs inference over a set of traceroutes.
+    /// Runs inference over a set of traceroutes: [`observe`](Self::observe)
+    /// each trace's responsive hops once, then
+    /// [`resolve_aliases`](Self::resolve_aliases).
     ///
     /// `cloud_asn` is the AS whose borders are being mapped; `p2a` is the
     /// (misleading, by design) prefix-to-AS dataset; `aliases` provides
@@ -89,74 +100,68 @@ impl BdrMap {
         cloud_asn: Asn,
         aliases: &dyn AliasResolver,
     ) -> Self {
-        let mut links: BTreeMap<Ipv4Addr, BorderLink> = BTreeMap::new();
-
-        // Scratch row reused across traces — pilot scans annotate
-        // hundreds of thousands of traces, one allocation is enough.
-        let mut annotated: Vec<(Ipv4Addr, Option<Asn>)> = Vec::new();
+        let mut map = Self::default();
+        let mut hops: Vec<Ipv4Addr> = Vec::new();
         for trace in traces {
-            // Annotate responsive hops with dataset ASNs.
-            annotated.clear();
-            annotated.extend(
-                trace
-                    .hops
-                    .iter()
-                    .filter_map(|h| h.ip)
-                    .map(|ip| (ip, p2a.lookup(ip).map(|(_, asn)| asn))),
-            );
+            hops.clear();
+            hops.extend(trace.hops.iter().filter_map(|h| h.ip));
+            map.observe(&hops, 1, p2a, cloud_asn);
+        }
+        map.resolve_aliases(aliases);
+        map
+    }
 
-            // Last cloud-mapped hop followed by a non-cloud hop, found
-            // in one reverse pass: walking backwards, remember whether
-            // any foreign-mapped hop lies behind the cursor; the first
-            // cloud hop met with that flag set is the last qualifying
-            // hop in forward order.
-            let mut candidate: Option<(usize, Ipv4Addr)> = None;
-            let mut seen_foreign = false;
-            for (i, (ip, asn)) in annotated.iter().enumerate().rev() {
-                if *asn == Some(cloud_asn) {
-                    if seen_foreign {
-                        candidate = Some((i, *ip));
-                        break;
-                    }
-                } else if asn.is_some() {
-                    seen_foreign = true;
+    /// Folds one path's evidence into the map: `hops` are the responsive
+    /// hops of a trace, in TTL order, and `weight` is how many traces
+    /// reported exactly those hops. Observing a path with weight `w` equals
+    /// observing it `w` times in a row, and a repeat of an already observed
+    /// path can only add counts, so a sweep may fold each distinct path
+    /// once, at its first occurrence.
+    pub fn observe(&mut self, hops: &[Ipv4Addr], weight: u32, p2a: &PrefixToAs, cloud_asn: Asn) {
+        // The candidate far side is the last cloud-mapped hop followed by
+        // a non-cloud hop; its vote is the first non-cloud hop after it.
+        // One reverse pass finds both: walking backwards, remember the
+        // nearest foreign-mapped hop behind the cursor; the first cloud
+        // hop met with one remembered is the candidate, and the
+        // remembered AS is its vote.
+        let mut vote: Option<Asn> = None;
+        let mut candidate: Option<(usize, Ipv4Addr)> = None;
+        for (i, &ip) in hops.iter().enumerate().rev() {
+            match p2a.lookup(ip).map(|(_, asn)| asn) {
+                Some(asn) if asn != cloud_asn => vote = Some(asn),
+                Some(_) if vote.is_some() => {
+                    candidate = Some((i, ip));
+                    break;
                 }
-            }
-            let Some((idx, far_ip)) = candidate else {
-                continue;
-            };
-            // Vote: the next responsive hop with a non-cloud mapping.
-            let vote = annotated[idx + 1..]
-                .iter()
-                .find_map(|(_, a)| a.filter(|asn| *asn != cloud_asn));
-            let near_ip = if idx > 0 {
-                Some(annotated[idx - 1].0)
-            } else {
-                None
-            };
-
-            let entry = links.entry(far_ip).or_insert_with(|| BorderLink {
-                far_ip,
-                near_ip,
-                votes: BTreeMap::new(),
-                alias_owner: None,
-                trace_count: 0,
-            });
-            entry.trace_count += 1;
-            if entry.near_ip.is_none() {
-                entry.near_ip = near_ip;
-            }
-            if let Some(asn) = vote {
-                *entry.votes.entry(asn).or_insert(0) += 1;
+                _ => {}
             }
         }
+        let (Some((idx, far_ip)), Some(vote)) = (candidate, vote) else {
+            return;
+        };
+        let near_ip = idx.checked_sub(1).and_then(|i| hops.get(i)).copied();
 
-        // Alias resolution pass over the candidates.
-        for link in links.values_mut() {
+        let entry = self.links.entry(far_ip).or_insert_with(|| BorderLink {
+            far_ip,
+            near_ip,
+            votes: BTreeMap::new(),
+            alias_owner: None,
+            trace_count: 0,
+        });
+        entry.trace_count += weight;
+        if entry.near_ip.is_none() {
+            entry.near_ip = near_ip;
+        }
+        *entry.votes.entry(vote).or_insert(0) += weight;
+    }
+
+    /// Alias-resolution pass: asks `aliases` for the owner of every
+    /// candidate far side. Run once, after the last
+    /// [`observe`](Self::observe).
+    pub fn resolve_aliases(&mut self, aliases: &dyn AliasResolver) {
+        for link in self.links.values_mut() {
             link.alias_owner = aliases.resolve(link.far_ip);
         }
-
-        Self { links }
     }
 
     /// Number of discovered border links (unique far-side interfaces).

@@ -5,12 +5,15 @@
 //! planner can honour that budget, and fans traceroutes out over target
 //! lists and flow-id sweeps (the bdrmap pilot scan probes each target
 //! with several flow ids to expose ECMP-parallel border interfaces).
+//! [`Scamper::paris_sweep`] runs the paris sweep folded per distinct
+//! path, for consumers that read only hop addresses.
 
-use crate::traceroute::{traceroute, TraceMode, Traceroute};
+use crate::traceroute::{paris_responsive_ips, traceroute, TraceMode, Traceroute};
 use simnet::geo::CityId;
-use simnet::routing::{Paths, Tier};
+use simnet::routing::{Direction, Paths, RouterPath, Tier};
 use simnet::topology::AsId;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A traceroute target.
 #[derive(Debug, Clone, Copy)]
@@ -58,9 +61,7 @@ impl Scamper {
         let mut out = Vec::with_capacity(targets.len() * flows_per_target as usize);
         for (i, t) in targets.iter().enumerate() {
             for flow in 0..flows_per_target {
-                // Flow ids are target-salted so two targets in the same AS
-                // don't probe identical five-tuples.
-                let flow_id = simnet::routing::load_key(b"scamper", i as u64, flow).rotate_left(7);
+                let flow_id = sweep_flow_id(i, flow);
                 if let Some(trace) = traceroute(
                     paths,
                     region_city,
@@ -80,6 +81,58 @@ impl Scamper {
         out
     }
 
+    /// The paris-mode sweep of [`trace_many`](Self::trace_many), folded
+    /// per path instead of recorded per trace. For each target, in order,
+    /// `visit(responsive_ips, flows)` is called once per distinct path its
+    /// flow ids resolve onto, in first-seen order, where `flows` counts the
+    /// target's flow ids that resolved onto that path. `responsive_ips`
+    /// are the responsive hops `trace_many` records for each of those
+    /// flows in [`TraceMode::Paris`]. No RTT jitter is drawn, so no seed
+    /// is needed.
+    ///
+    /// Paths are told apart by the shared-path memo's `Arc` identity: a
+    /// memo miss splits one path's flows over two visits with the same
+    /// hops, never merges two different paths.
+    #[allow(clippy::too_many_arguments)]
+    pub fn paris_sweep(
+        &self,
+        paths: &Paths<'_>,
+        region_city: CityId,
+        vm_ip: Ipv4Addr,
+        targets: &[Target],
+        tier: Tier,
+        flows_per_target: u64,
+        mut visit: impl FnMut(&[Ipv4Addr], u32),
+    ) {
+        let mut distinct: Vec<(Arc<RouterPath>, u32)> = Vec::new();
+        let mut ips: Vec<Ipv4Addr> = Vec::new();
+        for (i, t) in targets.iter().enumerate() {
+            distinct.clear();
+            for flow in 0..flows_per_target {
+                let Some(path) = paths.vm_host_path_flow_shared(
+                    region_city,
+                    vm_ip,
+                    t.as_id,
+                    t.city,
+                    t.ip,
+                    tier,
+                    Direction::ToServer,
+                    sweep_flow_id(i, flow),
+                ) else {
+                    continue;
+                };
+                match distinct.iter_mut().find(|(p, _)| Arc::ptr_eq(p, &path)) {
+                    Some((_, flows)) => *flows += 1,
+                    None => distinct.push((path, 1)),
+                }
+            }
+            for (path, flows) in &distinct {
+                paris_responsive_ips(path, t.ip, &mut ips);
+                visit(&ips, *flows);
+            }
+        }
+    }
+
     /// Estimated wall-clock duration of a batch, seconds: probes emitted
     /// at the configured rate (one probe per hop per attempt).
     pub fn estimated_duration_s(&self, traces: &[Traceroute]) -> f64 {
@@ -97,6 +150,13 @@ impl Scamper {
         let per_trace_s = avg_hops * self.attempts_per_hop as f64 / self.probe_rate_pps as f64;
         (budget_s / per_trace_s).floor() as usize
     }
+}
+
+/// The flow id of target `i`'s `flow`-th sweep probe. Flow ids are
+/// target-salted so two targets in the same AS don't probe identical
+/// five-tuples.
+fn sweep_flow_id(i: usize, flow: u64) -> u64 {
+    simnet::routing::load_key(b"scamper", i as u64, flow).rotate_left(7)
 }
 
 #[cfg(test)]
@@ -138,6 +198,49 @@ mod tests {
         assert!(traces.iter().all(|t| t.reached));
     }
 
+    /// Each target's recorded paris traces, grouped by responsive hops
+    /// in first-seen order, are exactly the sweep's visits.
+    #[test]
+    fn paris_sweep_folds_recorded_traces() {
+        let topo = Topology::generate(TopologyConfig::tiny(63));
+        let paths = Paths::new(&topo);
+        let region = topo.cities.by_name("The Dalles").unwrap();
+        let vm = topo.vm_ip(region, 0);
+        let ts = targets(&topo, 40);
+        let traces = Scamper::default().trace_many(
+            &paths,
+            region,
+            vm,
+            &ts,
+            Tier::Premium,
+            TraceMode::Paris,
+            16,
+            5,
+        );
+        let mut expected: Vec<(Vec<Ipv4Addr>, u32)> = Vec::new();
+        for target in traces.chunk_by(|a, b| a.dst == b.dst) {
+            let first = expected.len();
+            for trace in target {
+                let ips = trace.responsive_ips();
+                match expected[first..].iter_mut().find(|(g, _)| *g == ips) {
+                    Some((_, n)) => *n += 1,
+                    None => expected.push((ips, 1)),
+                }
+            }
+        }
+        let mut visits: Vec<(Vec<Ipv4Addr>, u32)> = Vec::new();
+        Scamper::default().paris_sweep(&paths, region, vm, &ts, Tier::Premium, 16, |ips, n| {
+            visits.push((ips.to_vec(), n))
+        });
+        assert_eq!(visits, expected);
+        let flows: u32 = visits.iter().map(|v| v.1).sum();
+        assert!(
+            visits.len() < flows as usize,
+            "{} paths for {flows} flows",
+            visits.len()
+        );
+    }
+
     #[test]
     fn duration_estimate_scales_with_traces() {
         let topo = Topology::generate(TopologyConfig::tiny(62));
@@ -174,8 +277,6 @@ mod tests {
     #[test]
     fn flow_salting_differs_across_targets() {
         // Two targets must not end up with the same flow id for flow 0.
-        let a = simnet::routing::load_key(b"scamper", 0, 0).rotate_left(7);
-        let b = simnet::routing::load_key(b"scamper", 1, 0).rotate_left(7);
-        assert_ne!(a, b);
+        assert_ne!(sweep_flow_id(0, 0), sweep_flow_id(1, 0));
     }
 }

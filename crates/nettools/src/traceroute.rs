@@ -16,7 +16,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simnet::geo::CityId;
-use simnet::routing::{Direction, Paths, Tier};
+use simnet::routing::{Direction, Hop, Paths, RouterPath, Tier};
 use simnet::topology::AsId;
 use std::net::Ipv4Addr;
 
@@ -97,7 +97,6 @@ pub fn traceroute(
 ) -> Option<Traceroute> {
     let mut rng = SmallRng::seed_from_u64(probe_seed ^ flow_id);
     let mut hops: Vec<TraceHop> = Vec::new();
-    let mut reached = false;
 
     // In paris mode, one path resolution serves every TTL. In classic
     // mode, each TTL re-resolves with a different flow id, so the ECMP
@@ -126,34 +125,24 @@ pub fn traceroute(
         Some(p) => p.hops.len(),
         None => resolve(flow_id)?.hops.len(),
     };
-    for ttl in 1..n_hops {
-        let path_storage;
-        let path = match &paris_path {
-            Some(p) => &**p,
-            None => {
-                path_storage = resolve(flow_id.wrapping_add(ttl as u64))?;
-                &*path_storage
-            }
-        };
-        // A re-resolved classic path can differ in length; clamp.
-        let idx = ttl.min(path.hops.len() - 1);
-        let hop = path.hops[idx];
-        let is_dst = hop.ip == dst_ip;
-        let silent_draw = (simnet::routing::load_key(b"silent", u64::from(u32::from(hop.ip)), 0)
-            >> 11) as f64
-            / (1u64 << 53) as f64;
-        let silent = !is_dst && silent_draw < SILENT_HOP_RATE;
+    let hop_at = |ttl: usize| match &paris_path {
+        Some(p) => p.hops.get(ttl).copied(),
+        None => {
+            let path = resolve(flow_id.wrapping_add(ttl as u64))?;
+            // A re-resolved classic path can differ in length; clamp.
+            path.hops
+                .get(ttl.min(path.hops.len().saturating_sub(1)))
+                .copied()
+        }
+    };
+    let reached = probe_ttls(n_hops, dst_ip, hop_at, |ttl, hop, ip| {
         let jitter = rng.random::<f64>() * 1.4;
         hops.push(TraceHop {
             ttl: ttl as u8,
-            ip: if silent { None } else { Some(hop.ip) },
+            ip,
             rtt_ms: hop.oneway_ms * 2.0 + jitter,
         });
-        if is_dst {
-            reached = true;
-            break;
-        }
-    }
+    })?;
 
     Some(Traceroute {
         dst: dst_ip,
@@ -162,6 +151,43 @@ pub fn traceroute(
         hops,
         reached,
     })
+}
+
+/// The silent-hop/destination rule every probe follows. Walks TTLs
+/// `1..n_hops`, where `hop_at(ttl)` is the hop that TTL's probe expires
+/// at, and hands `visit` each TTL with its hop and the interface that
+/// answers (`None` for a silent router). The destination always answers
+/// and ends the walk. Returns whether it answered, or `None` when
+/// `hop_at` finds no hop.
+fn probe_ttls(
+    n_hops: usize,
+    dst_ip: Ipv4Addr,
+    mut hop_at: impl FnMut(usize) -> Option<Hop>,
+    mut visit: impl FnMut(usize, &Hop, Option<Ipv4Addr>),
+) -> Option<bool> {
+    for ttl in 1..n_hops {
+        let hop = hop_at(ttl)?;
+        let is_dst = hop.ip == dst_ip;
+        let silent_draw = (simnet::routing::load_key(b"silent", u64::from(u32::from(hop.ip)), 0)
+            >> 11) as f64
+            / (1u64 << 53) as f64;
+        let silent = !is_dst && silent_draw < SILENT_HOP_RATE;
+        visit(ttl, &hop, (!silent).then_some(hop.ip));
+        if is_dst {
+            return Some(true);
+        }
+    }
+    Some(false)
+}
+
+/// The responsive hops a paris [`traceroute`] along `path` to `dst_ip`
+/// records, in TTL order, written into `out` (cleared first). Paris mode
+/// resolves one path for every TTL, so these depend on the path alone:
+/// no RTT jitter is drawn.
+pub fn paris_responsive_ips(path: &RouterPath, dst_ip: Ipv4Addr, out: &mut Vec<Ipv4Addr>) {
+    out.clear();
+    let hop_at = |ttl: usize| path.hops.get(ttl).copied();
+    probe_ttls(path.hops.len(), dst_ip, hop_at, |_, _, ip| out.extend(ip));
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! measure latency to GCP regions using Speedchecker, which has vantage
 //! points in more than 10,000 networks and 200 countries" (§3.1). Here,
 //! vantage points are end hosts spread across `<city, AS>` tuples of the
-//! topology; [`VantageSet::probe_tiers`] collects the per-tuple latency
-//! samples toward a region's VMs on both tiers, which the selection code
-//! reduces to medians and latency classes.
+//! topology, one per `<city, AS>` tuple; [`VantageSet::probe_tiers`]
+//! hands each tuple's latency samples toward a region's VMs, tier by
+//! tier, to a visitor that reduces them to medians and latency classes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,19 +35,6 @@ pub struct VantagePoint {
 pub struct VantageSet {
     /// All vantage points.
     pub vps: Vec<VantagePoint>,
-}
-
-/// One latency measurement from a VP to a region on a tier.
-#[derive(Debug, Clone, Copy)]
-pub struct TierLatencySample {
-    /// Which vantage point measured.
-    pub vp: u32,
-    /// Tier probed.
-    pub tier: Tier,
-    /// Round-trip latency, ms.
-    pub rtt_ms: f64,
-    /// When the probe ran.
-    pub time: SimTime,
 }
 
 impl VantageSet {
@@ -81,6 +68,11 @@ impl VantageSet {
     /// Probes latency from every VP to a VM in `region_city` on both
     /// tiers, `probes` times spread hourly from `start`. This mirrors the
     /// paper's requirement of >100 measurements per tuple.
+    ///
+    /// `visit(vp, tier, rtts_ms)` receives each (VP, tier)'s round-trip
+    /// times in probe order, VP by VP with premium first; a (VP, tier)
+    /// without a route in both directions is skipped. The slice lives in
+    /// one buffer reused across calls.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_tiers(
         &self,
@@ -91,8 +83,9 @@ impl VantageSet {
         start: SimTime,
         probes: u32,
         seed: u64,
-    ) -> Vec<TierLatencySample> {
-        let mut out = Vec::with_capacity(self.vps.len() * probes as usize * 2);
+        mut visit: impl FnMut(&VantagePoint, Tier, &[f64]),
+    ) {
+        let mut rtts: Vec<f64> = Vec::with_capacity(probes as usize);
         for vp in &self.vps {
             for tier in [Tier::Premium, Tier::Standard] {
                 // Resolve once; evaluate at many instants.
@@ -123,21 +116,17 @@ impl VantageSet {
                 // idle. `idle_rtt_ms_eval` is bit-identical to
                 // `idle_rtt_ms`.
                 let (cfwd, crev) = (perf.compile(&fwd), perf.compile(&rev));
-                for k in 0..probes {
+                rtts.clear();
+                rtts.extend((0..probes).map(|k| {
                     let t = start + (k as u64) * simnet::time::HOUR;
                     let jitter_h =
                         simnet::routing::load_key(b"vpjit", seed ^ vp.id as u64, k as u64);
                     let jitter = (jitter_h >> 11) as f64 / (1u64 << 53) as f64 * 2.2;
-                    out.push(TierLatencySample {
-                        vp: vp.id,
-                        tier,
-                        rtt_ms: perf.idle_rtt_ms_eval(&cfwd, &crev, t) + jitter,
-                        time: t,
-                    });
-                }
+                    perf.idle_rtt_ms_eval(&cfwd, &crev, t) + jitter
+                }));
+                visit(vp, tier, &rtts);
             }
         }
-        out
     }
 }
 
@@ -178,7 +167,8 @@ mod tests {
         let perf = PerfModel::new(&topo, LoadModel::new(2));
         let set = VantageSet::generate(&topo, 1);
         let region = topo.cities.by_name("St. Ghislain").unwrap();
-        let samples = set.probe_tiers(
+        let mut visits: Vec<(u32, Tier, Vec<f64>)> = Vec::new();
+        set.probe_tiers(
             &paths,
             &perf,
             region,
@@ -186,13 +176,18 @@ mod tests {
             SimTime::EPOCH,
             4,
             1,
+            |vp, tier, rtts| visits.push((vp.id, tier, rtts.to_vec())),
         );
-        assert!(!samples.is_empty());
-        assert!(samples.iter().any(|s| s.tier == Tier::Premium));
-        assert!(samples.iter().any(|s| s.tier == Tier::Standard));
-        assert!(samples.iter().all(|s| s.rtt_ms > 0.0));
+        assert!(!visits.is_empty());
+        assert!(visits.iter().any(|v| v.1 == Tier::Premium));
+        assert!(visits.iter().any(|v| v.1 == Tier::Standard));
+        assert!(visits.iter().all(|v| v.2.iter().all(|&rtt| rtt > 0.0)));
         // Each VP × tier gets `probes` samples.
-        let per_vp = samples.iter().filter(|s| s.vp == samples[0].vp).count();
+        let per_vp: usize = visits
+            .iter()
+            .filter(|v| v.0 == visits[0].0)
+            .map(|v| v.2.len())
+            .sum();
         assert_eq!(per_vp, 8);
     }
 

@@ -6,6 +6,8 @@
 //! the Hyndman–Fan taxonomy, the R/NumPy default) so results are stable
 //! under small sample-size changes.
 
+use std::cmp::Ordering;
+
 /// Returns the `q`-quantile (`0.0 ..= 1.0`) of `data` using linear
 /// interpolation between order statistics.
 ///
@@ -23,7 +25,8 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
         return None;
     }
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered above"));
+    // NaN was rejected above, so `partial_cmp` always answers.
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     Some(quantile_sorted(&sorted, q))
 }
 

@@ -106,6 +106,15 @@ fn telemetry_identical_across_checkpoint_resume() {
     let (resumed, metrics, trace) = observed_run(&world, pcfg, 8, Some(&full.checkpoints[0]));
     assert_results_identical(&full, &resumed, "observed resume");
     assert_eq!(full_metrics, metrics, "metrics across resume");
+    // Selection is recomputed for completed units, so its work counters
+    // survive the resume too.
+    for counter in [
+        "prep.pilot_flows",
+        "prep.pilot_paths",
+        "prep.pretest_probes",
+    ] {
+        assert!(metrics.contains(counter), "{counter} missing after resume");
+    }
     assert_eq!(full_trace, trace, "trace across resume");
 }
 
@@ -188,5 +197,25 @@ fn observer_is_invisible_to_campaign_results() {
     assert_eq!(
         counters.get("ingest.points").and_then(|v| v.as_u64()),
         Some(observed.db.points_written)
+    );
+    let counter = |name: &str| counters.get(name).and_then(|v| v.as_u64());
+    let topo = &observed.topo_selections;
+    assert_eq!(
+        counter("prep.pilot_flows"),
+        Some(topo.iter().map(|s| s.pilot_flows).sum())
+    );
+    assert_eq!(
+        counter("prep.pilot_paths"),
+        Some(topo.iter().map(|s| s.pilot_paths).sum())
+    );
+    assert_eq!(
+        counter("prep.pretest_probes"),
+        Some(
+            observed
+                .diff_selections
+                .iter()
+                .map(|s| s.pretest_probes)
+                .sum()
+        )
     );
 }
