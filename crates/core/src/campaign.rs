@@ -320,7 +320,6 @@ struct VmOutput {
     tainted: u64,
     flog: FaultLog,
     report: CompletenessReport,
-    decoded: Vec<pipeline::DecodedObject>,
     /// Per-task metric shard (counters + fixed-bound histograms only),
     /// merged into the cumulative execution metrics in canonical unit
     /// order. Empty when no observer is attached.
@@ -449,9 +448,9 @@ impl<'w> Campaign<'w> {
     ///   merge issues those ops in canonical unit order instead of
     ///   summing worker partials;
     /// * bucket keys are disjoint per VM and `BTreeMap`-stored, so
-    ///   absorb order cannot change the listing, and sorting the
-    ///   per-VM decoded objects by key reproduces the unit bucket's
-    ///   listing order — which is what the streaming engine consumes.
+    ///   absorb order cannot change the listing, and the merged unit
+    ///   bucket is ingested in that listing order — which is what the
+    ///   streaming engine consumes.
     pub(crate) fn run_resumable(
         &self,
         resume: Option<&serde_json::Value>,
@@ -688,7 +687,6 @@ impl<'w> Campaign<'w> {
                     tainted: 0,
                     flog: FaultLog::new(),
                     report: CompletenessReport::new(),
-                    decoded: Vec::new(),
                     metrics: MetricsRegistry::new(),
                 };
                 let params = VmLoopParams {
@@ -731,19 +729,6 @@ impl<'w> Campaign<'w> {
                     m.inc("exec.tests_executed", out.tests_run);
                     m.inc("exec.tests_tainted", out.tainted);
                 }
-                // Decode (parse) this VM's own uploads while still on the
-                // worker; the merge then only has to index them.
-                // With a single worker there is no decode parallelism to
-                // win, and the parsed points of *every* VM would sit in
-                // memory at once — the dominant peak-memory cost of a
-                // long campaign — so at jobs = 1 decoding waits for the
-                // per-unit merge loop, where one object's points are
-                // alive at a time.
-                out.decoded = if jobs > 1 {
-                    pipeline::decode_bucket(&out.bucket)
-                } else {
-                    Vec::new()
-                };
                 out.metrics = vm_metrics.unwrap_or_default();
                 out
             },
@@ -775,7 +760,6 @@ impl<'w> Campaign<'w> {
                     UnitKind::Diff => Bucket::new(format!("{}-diff", region.name)),
                 }
             };
-            let mut unit_decoded: Vec<pipeline::DecodedObject> = Vec::new();
             if !done[i] {
                 // Outputs come back in task order, which is unit order:
                 // this unit's are the next `prep.vms.len()` of them.
@@ -794,7 +778,6 @@ impl<'w> Campaign<'w> {
                     tests_run += vo.tests_run;
                     tainted += vo.tainted;
                     bucket.absorb(vo.bucket);
-                    unit_decoded.extend(vo.decoded);
                     if let UnitKind::Diff = kind {
                         vm_count += 1;
                         billing.record_vm_hours(
@@ -826,34 +809,22 @@ impl<'w> Campaign<'w> {
                 ));
                 completed.push(label.clone());
             }
-            let stats = if done[i] || jobs <= 1 {
-                // Replayed units — and every unit at `jobs = 1`, whose
-                // phase 2 defers decoding (see above) —
-                // stream straight out of the merged unit bucket: its
-                // `raw/` listing is lexicographic, exactly the order the
-                // sorted per-VM merge below reproduces, and only one
-                // object's points are alive at a time.
-                pipeline::ingest_streaming(&bucket, &mut db, |key, n| {
-                    if let Some(obs) = observer {
-                        record_collected_one(obs, label, key, n);
-                    }
-                })
-            } else {
-                // Disjoint per-VM key sets merge-sort into exactly the
-                // listing order of the merged unit bucket (and the
-                // order the stream engine consumes).
-                unit_decoded.sort_by(|a, b| a.key.cmp(&b.key));
+            // Fresh and replayed units alike stream out of the merged
+            // unit bucket: its `raw/` listing is lexicographic, so the
+            // ingest order (and the order the stream engine consumes)
+            // does not depend on the job count.
+            let stats = pipeline::ingest_streaming(&bucket, &mut db, |key, n| {
                 if let Some(obs) = observer {
-                    record_collected(obs, label, &unit_decoded);
+                    record_collected(obs, label, key, n);
                 }
-                pipeline::ingest_decoded(unit_decoded, &mut db)
-            };
+            });
             drain(&mut stream);
             raw_objects += stats.objects;
             if let Some(obs) = observer {
                 obs.with_metrics(|m| {
                     m.inc("ingest.objects", stats.objects);
                     m.inc("ingest.points", stats.points);
+                    m.inc("ingest.fallback_lines", stats.fallback_lines);
                     m.inc("ingest.errors", stats.errors);
                 });
                 obs.advance(stats.points);
@@ -1261,17 +1232,9 @@ const MBPS_BOUNDS: &[f64] = &[50.0, 100.0, 200.0, 400.0, 600.0, 800.0];
 /// Fixed histogram bounds for test latency (ms).
 const LATENCY_BOUNDS: &[f64] = &[2.0, 5.0, 10.0, 20.0, 50.0, 100.0];
 
-/// Counts collected tests per VM from decoded object keys
-/// (`raw/<region>/<day>/<vm>.lp`), under the unit's label.
-fn record_collected(obs: &Observer, label: &str, decoded: &[pipeline::DecodedObject]) {
-    for d in decoded {
-        let Ok(points) = &d.result else { continue };
-        record_collected_one(obs, label, &d.key, points.len() as u64);
-    }
-}
-
-/// Single-object form of [`record_collected`], for streaming ingest.
-fn record_collected_one(obs: &Observer, label: &str, key: &str, points: u64) {
+/// Counts one ingested object's tests under its VM, named by the object
+/// key (`raw/<region>/<day>/<vm>.lp`), and the unit's label.
+fn record_collected(obs: &Observer, label: &str, key: &str, points: u64) {
     obs.with_metrics(|m| {
         let vm = key
             .rsplit('/')
@@ -1873,6 +1836,29 @@ mod tests {
         let (m, t, _) = telemetry(4, Some(&full.checkpoints[0]));
         assert_eq!(m, metrics, "metrics across resume");
         assert_eq!(t, trace, "trace across resume");
+    }
+
+    #[test]
+    fn campaign_objects_never_take_the_decode_fallback() {
+        // Every line a campaign uploads is read in place by
+        // `Db::ingest_lines`, at any job count and on resume.
+        let world = World::tiny(121);
+        let mut cfg = CampaignConfig::small(121);
+        cfg.fault_plan = FaultPlan::uniform(7, 0.02);
+        let full = Campaign::new(&world, cfg.clone()).runner().run().unwrap();
+        for (jobs, ckpt) in [(1, None), (4, None), (1, Some(&full.checkpoints[0]))] {
+            let obs = Observer::new();
+            let campaign = Campaign::new(&world, cfg.clone());
+            let mut runner = campaign.runner().jobs(jobs).observer(&obs);
+            if let Some(c) = ckpt {
+                runner = runner.resume_from(c);
+            }
+            let result = runner.run().unwrap();
+            let m = obs.metrics();
+            assert!(result.db.points_written > 0);
+            assert_eq!(m.counter("ingest.points"), result.db.points_written);
+            assert_eq!(m.counter("ingest.fallback_lines"), 0, "jobs={jobs}");
+        }
     }
 
     #[test]

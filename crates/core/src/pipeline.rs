@@ -4,6 +4,12 @@
 //! the analysis VM (same region as the bucket, to avoid inter-region
 //! transfer charges) parses them and indexes the points into the
 //! time-series store, the role InfluxDB plays in the paper.
+//!
+//! There is one ingest path, [`ingest_streaming`], at every job count
+//! and on resume: objects go into the store one at a time, in bucket
+//! listing order, each through [`Db::ingest_lines`], which reads the
+//! campaign's lines straight into the interned series and keeps a
+//! malformed object out of the store entirely.
 
 use cloudsim::bucket::Bucket;
 use simnet::routing::Tier;
@@ -146,62 +152,6 @@ pub fn upload_batch_resilient(
     None
 }
 
-/// One decoded (or rejected) raw object: the CPU-bound half of ingest,
-/// separated out so parallel workers can parse their own uploads while
-/// the indexing half stays a serial, canonically-ordered merge.
-#[derive(Debug)]
-pub struct DecodedObject {
-    /// Bucket key of the object.
-    pub key: String,
-    /// Parsed points, or the 1-based line number and parse error that
-    /// aborted the object.
-    pub result: Result<Vec<Point>, (usize, tsdb::line::ParseError)>,
-}
-
-/// Parses every object under `raw/` without touching the database.
-/// Output follows bucket listing order (lexicographic keys).
-pub fn decode_bucket(bucket: &Bucket) -> Vec<DecodedObject> {
-    bucket
-        .list("raw/")
-        .into_iter()
-        .map(|key| {
-            let obj = bucket.get(key).expect("listed keys exist");
-            DecodedObject {
-                key: key.to_string(),
-                result: tsdb::line::decode_batch_lines(&obj.data),
-            }
-        })
-        .collect()
-}
-
-/// Indexes pre-decoded objects into the database, in the order given.
-/// Callers merging per-worker decode output must sort by key first —
-/// upload keys are unique per VM, so that reproduces the listing order
-/// a serial [`ingest`] of the combined bucket would see.
-pub fn ingest_decoded(
-    objects: impl IntoIterator<Item = DecodedObject>,
-    db: &mut Db,
-) -> IngestStats {
-    let mut stats = IngestStats::default();
-    for obj in objects {
-        match obj.result {
-            Ok(points) => {
-                stats.points += points.len() as u64;
-                db.insert_batch(points);
-                stats.objects += 1;
-            }
-            Err((line, e)) => {
-                stats.errors += 1;
-                let detail = format!("{}: line {line}: {e}", obj.key);
-                #[cfg(debug_assertions)]
-                eprintln!("ingest: skipping malformed object {detail}");
-                stats.error_objects.push(detail);
-            }
-        }
-    }
-    stats
-}
-
 /// Ingests every object under `raw/` into the database, returning how
 /// many points were indexed. Malformed lines abort the object (counted
 /// in `errors`, with the offending key and line recorded in
@@ -210,12 +160,10 @@ pub fn ingest(bucket: &Bucket, db: &mut Db) -> IngestStats {
     ingest_streaming(bucket, db, |_, _| {})
 }
 
-/// Streaming [`ingest`]: decodes and indexes objects one at a time (in
-/// bucket listing order, so results are identical to `ingest_decoded ∘
-/// decode_bucket`), calling `on_object(key, n_points)` for each
-/// successfully parsed object. Only a single object's parsed points are
-/// ever alive at once — on a full campaign that is the difference
-/// between a gigabyte-scale decode buffer and a few hundred kilobytes.
+/// Streaming [`ingest`]: indexes objects one at a time, in bucket
+/// listing order, calling `on_object(key, n_points)` for each
+/// successfully parsed object. At most one object's rows are staged at
+/// once, and a malformed object leaves the database untouched.
 pub fn ingest_streaming(
     bucket: &Bucket,
     db: &mut Db,
@@ -223,12 +171,14 @@ pub fn ingest_streaming(
 ) -> IngestStats {
     let mut stats = IngestStats::default();
     for key in bucket.list("raw/") {
-        let obj = bucket.get(key).expect("listed keys exist");
-        match tsdb::line::decode_batch_lines(&obj.data) {
-            Ok(points) => {
-                stats.points += points.len() as u64;
-                on_object(key, points.len() as u64);
-                db.insert_batch(points);
+        let Some(obj) = bucket.get(key) else {
+            continue; // listed keys exist
+        };
+        match db.ingest_lines(&obj.data) {
+            Ok(got) => {
+                stats.points += got.points;
+                stats.fallback_lines += got.fallback_lines;
+                on_object(key, got.points);
                 stats.objects += 1;
             }
             Err((line, e)) => {
@@ -252,6 +202,11 @@ pub struct IngestStats {
     pub points: u64,
     /// Objects that failed to parse.
     pub errors: u64,
+    /// Lines of parsed objects that took the general
+    /// [`tsdb::line::decode`] path instead of being read in place (see
+    /// [`tsdb::LineIngest::fallback_lines`]). Campaign-written objects
+    /// have none.
+    pub fallback_lines: u64,
     /// One `"<object key>: line <n>: <error>"` entry per malformed
     /// object, in bucket listing order (parallel to `errors`).
     pub error_objects: Vec<String>,
@@ -461,47 +416,64 @@ mod tests {
     }
 
     #[test]
-    fn sharded_decode_merge_matches_direct_ingest() {
-        // Two VM-local buckets, decoded separately (as parallel workers
-        // do), merged by key: identical stats and database state to a
-        // serial ingest of the combined bucket.
-        let mut vm0 = Bucket::new("r");
+    fn hand_written_lines_fall_back_to_decode() {
+        // Escaped, unsorted and duplicate-key lines take the `decode`
+        // path and land exactly where decode + insert_batch puts them;
+        // campaign-written lines never do.
+        let mut bucket = Bucket::new("r");
+        let results = [result("s1", 0, 1.0), result("s 2", 3600, 2.0)];
         upload_batch(
-            &mut vm0,
+            &mut bucket,
             "us-east1",
             "topo",
             "vm0",
-            &[result("s1", 0, 1.0), result("s2", 3600, 2.0)],
-            SimTime(90_000),
+            &results,
+            SimTime(10),
         );
-        vm0.put("raw/us-east1/0000/vm0-bad.lp", "nope".into(), SimTime(0));
-        let mut vm1 = Bucket::new("r");
-        upload_batch(
-            &mut vm1,
-            "us-east1",
-            "topo",
-            "vm1",
-            &[result("s3", 7200, 3.0)],
-            SimTime(90_000),
+        bucket.put(
+            "raw/us-east1/0000/vm1.lp",
+            "speedtest,tier=premium,server=s1,region=us-east1,method=topo download=3,upload=1 7200\n\
+             speedtest,method=topo,region=us-east1,server=s1,tier=premium download=4,download=5 9000\n\
+             speedtest,method=topo,region=us-east1,server=s1,tier=premium upload=6,download=7 9100\n\
+             speedtest,method=topo,region=us-east1,server=s1,tier=premium download=8,upload=9 9200\n"
+                .into(),
+            SimTime(11),
         );
+        bucket.put(
+            "raw/us-east1/0000/vm2.lp",
+            "m f=1 0\nm f=inf 1".into(),
+            SimTime(12),
+        );
+        let mut db = Db::new();
+        let stats = ingest(&bucket, &mut db);
+        assert_eq!((stats.objects, stats.points, stats.errors), (2, 6, 1));
+        // One escaped server tag ("s 2") and three hand-edited lines.
+        assert_eq!(stats.fallback_lines, 4);
+        assert!(stats.error_objects[0].ends_with("vm2.lp: line 2: bad numeric value: inf"));
 
-        let mut decoded: Vec<DecodedObject> = decode_bucket(&vm1);
-        decoded.extend(decode_bucket(&vm0));
-        decoded.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut sharded_db = Db::new();
-        let sharded = ingest_decoded(decoded, &mut sharded_db);
-
-        let mut combined = Bucket::new("r");
-        combined.absorb(vm0);
-        combined.absorb(vm1);
-        let mut serial_db = Db::new();
-        let serial = ingest(&combined, &mut serial_db);
-
-        assert_eq!(sharded, serial);
-        assert_eq!(serial.objects, 2);
-        assert_eq!(serial.errors, 1);
-        assert_eq!(sharded_db.points_written, serial_db.points_written);
-        assert_eq!(sharded_db.series_count(), serial_db.series_count());
+        let mut want = Db::new();
+        for key in bucket.list("raw/") {
+            if let Ok(points) = tsdb::line::decode_batch_lines(&bucket.get(key).unwrap().data) {
+                want.insert_batch(points);
+            }
+        }
+        let rows = |db: &mut Db| -> Vec<(String, Vec<(u64, String)>)> {
+            db.snapshot()
+                .series()
+                .map(|s| {
+                    let samples = s
+                        .samples()
+                        .iter()
+                        .map(|(t, f)| (*t, format!("{:?}", f.to_map())));
+                    (s.key().to_string(), samples.collect())
+                })
+                .collect()
+        };
+        assert_eq!(rows(&mut db), rows(&mut want));
+        assert_eq!(
+            (db.points_written, db.stats),
+            (want.points_written, want.stats)
+        );
     }
 
     #[test]

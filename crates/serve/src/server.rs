@@ -845,6 +845,25 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_ingest_values_are_protocol_errors() {
+        // `f64::from_str` reads NaN and the infinities; the decoder
+        // refuses them, so they never reach the store or a rollup.
+        let s = Server::new(ServerConfig::default());
+        for (seq, v) in ["NaN", "inf", "-inf", "1e400"].into_iter().enumerate() {
+            for head in ["m", "m\\\\ x"] {
+                let line = format!(
+                    "{{\"op\":\"ingest\",\"client\":\"c\",\"seq\":{seq},\"points\":[\"m f=1 0\",\"{head} f={v} 1\"]}}"
+                );
+                let resp = s.handle_line(&line);
+                assert!(resp.contains("\"ok\":false"), "{line}: {resp}");
+                assert!(resp.contains(&format!("bad numeric value: {v}")), "{resp}");
+            }
+        }
+        s.publish();
+        assert_eq!(s.snapshot().points(), 0);
+    }
+
+    #[test]
     fn handle_line_rejects_garbage_and_counts_errors() {
         let s = Server::new(ServerConfig::default());
         let resp = s.handle_line("not json");

@@ -324,11 +324,12 @@ impl<'t> Routing<'t> {
     /// AS-level path from `src` to `dst` (inclusive on both ends), or
     /// `None` when no policy-compliant route exists. Memoised.
     ///
-    /// Phase 3 of [`Self::compute`] only ever offers provider routes,
-    /// which rank below customer and peer routes, so an AS holding a
-    /// customer or peer route after phase 2 keeps it. Such a route's next
-    /// hop is a cone member, and so is every later hop, so the walk
-    /// needs only `dst`'s provider cone plus `src`'s phase-2 entry.
+    /// Phase 3 of the full route computation (`compute`) only ever
+    /// offers provider routes, which rank below customer and peer routes,
+    /// so an AS holding a customer or peer route after phase 2 keeps it.
+    /// Such a route's next hop is a cone member, and so is every later
+    /// hop, so the walk needs only `dst`'s provider cone plus `src`'s
+    /// phase-2 entry.
     pub fn as_path(&self, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
         if src == dst {
             return Some(vec![src]);

@@ -1,12 +1,19 @@
 //! Storage: series-indexed, time-ordered point store, with an optional
 //! bounded tail for streaming consumers.
+//!
+//! Points arrive one [`Point`] at a time ([`Db::insert`],
+//! [`Db::insert_batch`]) or as whole line-protocol objects
+//! ([`Db::ingest_lines`]), which are read straight into the interned
+//! series without building `Point`s.
 
+use crate::line::{self, ParseError};
 use crate::point::Point;
 use crate::snapshot::{SeriesSnap, Snapshot};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex, Weak};
 
 /// A stored sample inside one series: `(time, fields)`.
@@ -30,25 +37,21 @@ pub struct FieldSet {
 }
 
 impl FieldSet {
-    /// Builds a field set from a point's field map, reusing an interned
-    /// schema from `schemas` when the name set matches (the common case
-    /// is a single schema per series, matched on the first probe).
-    fn from_map(fields: &BTreeMap<String, f64>, schemas: &mut Vec<FieldNames>) -> Self {
-        let names = match schemas
+    /// Pairs `values` with their sorted, unique `names`, sharing a schema
+    /// from `schemas` when the name set matches (the common case is a
+    /// single schema per series, matched on the first probe). Otherwise
+    /// the names are copied into a new schema, which [`Series::push`]
+    /// interns.
+    fn with_names<'n>(
+        schemas: &[FieldNames],
+        names: impl Iterator<Item = &'n str> + Clone,
+        values: Box<[f64]>,
+    ) -> Self {
+        let names = schemas
             .iter()
-            .find(|s| s.len() == fields.len() && s.iter().zip(fields.keys()).all(|(a, b)| a == b))
-        {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s: FieldNames = fields.keys().cloned().collect();
-                schemas.push(Arc::clone(&s));
-                s
-            }
-        };
-        FieldSet {
-            names,
-            values: fields.values().copied().collect(),
-        }
+            .find(|s| s.len() == values.len() && s.iter().map(String::as_str).eq(names.clone()))
+            .map_or_else(|| names.map(str::to_string).collect(), Arc::clone);
+        FieldSet { names, values }
     }
 
     /// Looks a field up by name.
@@ -101,6 +104,10 @@ pub struct Series {
     pub tags: BTreeMap<String, String>,
     /// Interned canonical series key (built once, at registration).
     key: String,
+    /// No part of the key needs a protocol escape, so the key is also the
+    /// series' line-protocol head and a head byte-equal to it decodes to
+    /// exactly this measurement and tag set (see [`Db::ingest_lines`]).
+    plain: bool,
     /// Time-ordered samples. Out-of-order inserts are re-sorted lazily.
     samples: Vec<Sample>,
     /// Interned field-name schemas seen in this series (normally one).
@@ -115,10 +122,15 @@ pub struct Series {
 
 impl Series {
     fn new(measurement: String, tags: BTreeMap<String, String>, key: String) -> Self {
+        let plain = !line::needs_escape(&measurement)
+            && tags
+                .iter()
+                .all(|(k, v)| !line::needs_escape(k) && !line::needs_escape(v));
         Self {
             measurement,
             tags,
             key,
+            plain,
             samples: Vec::new(),
             schemas: Vec::new(),
             sorted: true,
@@ -132,14 +144,42 @@ impl Series {
         &self.key
     }
 
-    fn push(&mut self, time: u64, fields: &BTreeMap<String, f64>) {
+    /// The plain series an escape-free line-protocol head names, when
+    /// the head is its own canonical key: `measurement[,k=v...]` with tag
+    /// keys strictly ascending. `None` sends the line to [`line::decode`].
+    fn from_head(head: &str) -> Option<Self> {
+        let (measurement, tag_list) = match head.split_once(',') {
+            Some((m, t)) => (m, Some(t)),
+            None => (head, None),
+        };
+        let mut tags = BTreeMap::new();
+        if let Some(list) = tag_list {
+            line::for_each_ascending_pair(list, |k, v| {
+                tags.insert(k.to_string(), v.to_string());
+                Some(())
+            })?;
+        }
+        let series = Self::new(measurement.to_string(), tags, head.to_string());
+        series.plain.then_some(series)
+    }
+
+    /// Appends a sample, interning its schema if the series has not
+    /// seen that field-name set yet. A set staged from this series
+    /// already shares one, which the pointer test finds without
+    /// comparing names (`==` on `Arc<[String]>` compares the strings).
+    fn push(&mut self, time: u64, mut set: FieldSet) {
+        if !self.schemas.iter().any(|s| Arc::ptr_eq(s, &set.names)) {
+            match self.schemas.iter().find(|s| **s == set.names) {
+                Some(s) => set.names = Arc::clone(s),
+                None => self.schemas.push(Arc::clone(&set.names)),
+            }
+        }
         if let Some((last, _)) = self.samples.last() {
             if time < *last {
                 self.sorted = false;
             }
         }
-        self.samples
-            .push((time, FieldSet::from_map(fields, &mut self.schemas)));
+        self.samples.push((time, set));
         self.snap = None;
     }
 
@@ -179,17 +219,44 @@ impl Series {
     }
 }
 
-/// Hashes a (measurement, tags) pair without materialising the canonical
-/// key string. `DefaultHasher::new()` is deterministic (fixed keys), so
-/// the same series always lands in the same index bucket.
+/// Hashes the canonical key of a (measurement, tags) pair without
+/// materialising it: the key's pieces go into one byte stream, which
+/// hashes exactly as [`head_hash`] of the joined key does, because
+/// `DefaultHasher` (SipHash) buffers partial words across `write` and
+/// `write_u8` calls (`key_hash_is_the_hash_of_the_joined_key` checks it). So a point's
+/// series and a line's head find the same index bucket.
+/// `DefaultHasher::new()` is deterministic (fixed keys).
 fn key_hash(measurement: &str, tags: &BTreeMap<String, String>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    measurement.hash(&mut h);
+    let mut h = DefaultHasher::new();
+    h.write(measurement.as_bytes());
     for (k, v) in tags {
-        k.hash(&mut h);
-        v.hash(&mut h);
+        h.write_u8(b',');
+        h.write(k.as_bytes());
+        h.write_u8(b'=');
+        h.write(v.as_bytes());
     }
     h.finish()
+}
+
+/// Hashes a series key (or a line-protocol head) as one byte string.
+fn head_hash(key: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    h.write(key.as_bytes());
+    h.finish()
+}
+
+/// A staged sample: series index, time, fields.
+type Row = (usize, u64, FieldSet);
+
+/// What one [`Db::ingest_lines`] call stored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineIngest {
+    /// Points inserted (one per non-blank line).
+    pub points: u64,
+    /// Lines that went through [`line::decode`] because they could not
+    /// be read in place: escapes, unsorted or duplicate keys, or a head
+    /// that names no plain series and cannot register one.
+    pub fallback_lines: u64,
 }
 
 /// Ingest-side observability counters for a [`Db`].
@@ -338,9 +405,9 @@ impl Drop for Tail {
 #[derive(Debug, Default)]
 pub struct Db {
     series: Vec<Series>,
-    /// Key-hash → candidate series ids (collisions resolved by exact
-    /// measurement + tag comparison). Lookups never build a key string.
-    index: HashMap<u64, Vec<u32>>,
+    /// Canonical-key hash → candidate series indices (collisions resolved
+    /// by exact comparison). Lookups never build a key string.
+    index: HashMap<u64, Vec<usize>>,
     /// Live tail subscriptions; dead ones are pruned on insert.
     tails: Vec<Weak<Mutex<TailShared>>>,
     /// Points accepted in total.
@@ -446,27 +513,45 @@ impl Db {
         });
     }
 
-    /// Resolves (or registers) the series a point belongs to. The only
-    /// allocation on a hit is none at all; a miss interns the canonical
-    /// key once for the lifetime of the series.
-    fn series_id_or_create(&mut self, p: &Point) -> SeriesId {
-        let h = key_hash(&p.measurement, &p.tags);
-        if let Some(candidates) = self.index.get(&h) {
-            for &i in candidates {
-                let s = &self.series[i as usize];
-                if s.measurement == p.measurement && s.tags == p.tags {
-                    return SeriesId(i);
+    /// The index of the series whose bucket is `h` and that `is` accepts.
+    fn find_series(&self, h: u64, is: impl Fn(&Series) -> bool) -> Option<usize> {
+        self.index
+            .get(&h)?
+            .iter()
+            .copied()
+            .find(|&i| self.series.get(i).is_some_and(&is))
+    }
+
+    /// Appends a new series under index bucket `h`; returns its index.
+    fn register(&mut self, h: u64, series: Series) -> usize {
+        let i = self.series.len();
+        self.series.push(series);
+        self.index.entry(h).or_default().push(i);
+        i
+    }
+
+    /// Forgets every series registered after the first `len` (those of a
+    /// rejected object). Newest first, so each one is the last id in its
+    /// index bucket.
+    fn unregister_from(&mut self, len: usize) {
+        let index = &mut self.index;
+        for s in self.series.drain(len..).rev() {
+            let h = head_hash(&s.key);
+            if let Some(ids) = index.get_mut(&h) {
+                ids.pop();
+                if ids.is_empty() {
+                    index.remove(&h);
                 }
             }
         }
-        let i = u32::try_from(self.series.len()).expect("series count fits u32");
-        self.series.push(Series::new(
-            p.measurement.clone(),
-            p.tags.clone(),
-            p.series_key().to_string(),
-        ));
-        self.index.entry(h).or_default().push(i);
-        SeriesId(i)
+    }
+
+    /// The interned schemas of series `i`.
+    fn schemas(&self, i: usize) -> &[FieldNames] {
+        self.series
+            .get(i)
+            .map(|s| s.schemas.as_slice())
+            .unwrap_or_default()
     }
 
     /// Looks up the id of an existing series.
@@ -475,24 +560,78 @@ impl Db {
         measurement: &str,
         tags: &BTreeMap<String, String>,
     ) -> Option<SeriesId> {
-        let h = key_hash(measurement, tags);
-        self.index.get(&h)?.iter().copied().find_map(|i| {
-            let s = &self.series[i as usize];
-            (s.measurement == measurement && s.tags == *tags).then_some(SeriesId(i))
-        })
+        let i = self.find_series(key_hash(measurement, tags), |s| {
+            s.measurement == measurement && s.tags == *tags
+        })?;
+        u32::try_from(i).ok().map(SeriesId)
     }
 
-    /// Routes a point to its series without mirroring it to the tails.
-    fn insert_unpublished(&mut self, p: Point) {
-        let id = self.series_id_or_create(&p);
-        self.series[id.0 as usize].push(p.time, &p.fields);
-        self.points_written += 1;
+    /// Resolves (or registers) the series of a point and builds its row.
+    /// A hit allocates nothing but the row's values; a miss interns the
+    /// canonical key once for the lifetime of the series.
+    fn stage_point(&mut self, p: &Point) -> Row {
+        let h = key_hash(&p.measurement, &p.tags);
+        let i = match self.find_series(h, |s| s.measurement == p.measurement && s.tags == p.tags) {
+            Some(i) => i,
+            None => self.register(
+                h,
+                Series::new(
+                    p.measurement.clone(),
+                    p.tags.clone(),
+                    p.series_key().to_string(),
+                ),
+            ),
+        };
+        let set = FieldSet::with_names(
+            self.schemas(i),
+            p.fields.keys().map(String::as_str),
+            p.fields.values().copied().collect(),
+        );
+        (i, p.time, set)
+    }
+
+    /// Builds the row of one trimmed, non-blank line without a [`Point`],
+    /// or `None` when the line is not provably what [`line::decode`]
+    /// would read: no escapes, three sections, a `u64` timestamp, field
+    /// keys strictly ascending with finite values, and a head that is the
+    /// key of a plain series (or registers one). `None` lines go through
+    /// `decode`, which accepts or rejects them.
+    /// `fields` is scratch space for the line's `(name, value)` pairs.
+    fn stage_plain<'t>(&mut self, text: &'t str, fields: &mut Vec<(&'t str, f64)>) -> Option<Row> {
+        let (head, field_sec, time) = line::plain_sections(text)?;
+        let time: u64 = time.parse().ok()?;
+        fields.clear();
+        line::for_each_ascending_pair(field_sec, |k, v| {
+            fields.push((k, line::parse_value(v).ok()?));
+            Some(())
+        })?;
+        let h = head_hash(head);
+        let i = match self.find_series(h, |s| s.plain && s.key == head) {
+            Some(i) => i,
+            None => self.register(h, Series::from_head(head)?),
+        };
+        let set = FieldSet::with_names(
+            self.schemas(i),
+            fields.iter().map(|(k, _)| *k),
+            fields.iter().map(|(_, v)| *v).collect(),
+        );
+        Some((i, time, set))
+    }
+
+    /// Appends a staged row to its series. Rows only name registered
+    /// series.
+    fn store(&mut self, (i, time, set): Row) {
+        if let Some(s) = self.series.get_mut(i) {
+            s.push(time, set);
+            self.points_written += 1;
+        }
     }
 
     /// Inserts one point, routing it to its series.
     pub fn insert(&mut self, p: Point) {
         self.publish(&p);
-        self.insert_unpublished(p);
+        let row = self.stage_point(&p);
+        self.store(row);
     }
 
     /// Inserts many points. Tail subscribers are locked once for the
@@ -503,17 +642,82 @@ impl Db {
         if self.tails.is_empty() {
             // No subscribers: route points straight to their series
             // without materialising the batch (publish_batch would be a
-            // no-op anyway — batch ingest is the campaign's hot path).
+            // no-op anyway).
             for p in points {
-                self.insert_unpublished(p);
+                let row = self.stage_point(&p);
+                self.store(row);
             }
             return;
         }
         let points: Vec<Point> = points.into_iter().collect();
         self.publish_batch(&points);
-        for p in points {
-            self.insert_unpublished(p);
+        for p in &points {
+            let row = self.stage_point(p);
+            self.store(row);
         }
+    }
+
+    /// Ingests one line-protocol object (blank lines skipped) as a single
+    /// batch, all or nothing: the same points, series, ids and
+    /// [`DbStats`] as `insert_batch(line::decode_batch_lines(text)?)`,
+    /// and on a bad line the same 1-based line number and
+    /// [`ParseError`], with the store left exactly as it was.
+    ///
+    /// Lines are read straight into the interned series: the head
+    /// (`measurement,k=v,...`) is looked up by its bytes among the plain
+    /// series, the fields and timestamp are parsed in place, and no
+    /// [`Point`] is built unless a tail is subscribed. Any line this
+    /// cannot prove equal to its `decode` reading goes through `decode`
+    /// instead, so both paths accept the same lines by construction.
+    pub fn ingest_lines(&mut self, text: &str) -> Result<LineIngest, (usize, ParseError)> {
+        let registered = self.series.len();
+        let mut rows = Vec::new();
+        let mut fields = Vec::new();
+        let mut fallback_lines = 0;
+        for (n, raw) in text.lines().enumerate() {
+            let text = raw.trim();
+            if text.is_empty() {
+                continue;
+            }
+            if let Some(row) = self.stage_plain(text, &mut fields) {
+                rows.push(row);
+                continue;
+            }
+            match line::decode(text) {
+                Ok(p) => {
+                    fallback_lines += 1;
+                    rows.push(self.stage_point(&p));
+                }
+                Err(e) => {
+                    self.unregister_from(registered);
+                    return Err((n + 1, e));
+                }
+            }
+        }
+        self.stats.insert_batches += 1;
+        if !self.tails.is_empty() {
+            let points: Vec<Point> = rows
+                .iter()
+                .filter_map(|(i, time, set)| {
+                    let s = self.series.get(*i)?;
+                    Some(Point::from_parts(
+                        s.measurement.clone(),
+                        s.tags.clone(),
+                        set.to_map(),
+                        *time,
+                    ))
+                })
+                .collect();
+            self.publish_batch(&points);
+        }
+        let points = rows.len() as u64;
+        for row in rows {
+            self.store(row);
+        }
+        Ok(LineIngest {
+            points,
+            fallback_lines,
+        })
     }
 
     /// Number of distinct series.
@@ -924,5 +1128,224 @@ mod tests {
                 .field("mbps", 2.0),
         );
         assert_eq!(db.series_count(), 2);
+    }
+
+    /// Everything a store holds, series in id order: measurement, tags,
+    /// key and `(time, [(field, value bits)])` samples.
+    type Contents = Vec<(
+        String,
+        Vec<(String, String)>,
+        String,
+        Vec<(u64, Vec<(String, u64)>)>,
+    )>;
+
+    fn contents(db: &mut Db) -> Contents {
+        db.snapshot()
+            .series()
+            .map(|s| {
+                let tags = s.tags.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                let samples = s
+                    .samples()
+                    .iter()
+                    .map(|(t, f)| {
+                        (
+                            *t,
+                            f.iter()
+                                .map(|(n, v)| (n.to_string(), v.to_bits()))
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                (s.measurement.clone(), tags, s.key().to_string(), samples)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_hash_is_the_hash_of_the_joined_key() {
+        for (m, tags) in [
+            (
+                "speedtest",
+                &[
+                    ("method", "topo"),
+                    ("region", "us-west1"),
+                    ("tier", "premium"),
+                ][..],
+            ),
+            (
+                "a-much-longer-measurement-name",
+                &[("k", "a value longer than one word")],
+            ),
+            ("m", &[]),
+            ("", &[("", "")]),
+            ("m,x", &[("k=1", "v 2")]),
+        ] {
+            let tags: BTreeMap<String, String> = tags
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            assert_eq!(key_hash(m, &tags), head_hash(&series_key(m, &tags)), "{m}");
+        }
+    }
+
+    /// Points stored, or the first bad line and its error.
+    type Outcome = Result<usize, (usize, ParseError)>;
+
+    /// Ingests `objects` through `decode_batch_lines` + `insert_batch`,
+    /// the reference [`Db::ingest_lines`] must match.
+    fn reference(objects: &[&str]) -> (Db, Vec<Outcome>) {
+        let mut db = Db::new();
+        let outcomes = objects
+            .iter()
+            .map(|text| {
+                let points = line::decode_batch_lines(text)?;
+                let n = points.len();
+                db.insert_batch(points);
+                Ok(n)
+            })
+            .collect();
+        (db, outcomes)
+    }
+
+    const CAMPAIGN_LINE: &str =
+        "speedtest,method=topo,region=us-west1,server=ookla-1,tier=premium \
+         dloss=0.001,download=412.5,latency=20.25,uloss=0.0005,upload=95.0 3600";
+
+    #[test]
+    fn ingest_lines_reads_campaign_lines_in_place() {
+        let text = format!(
+            "{CAMPAIGN_LINE}\n\n{}\n{}\r\n",
+            CAMPAIGN_LINE.replace("3600", "7200"),
+            CAMPAIGN_LINE.replace("ookla-1", "ookla-2")
+        );
+        let mut db = Db::new();
+        let got = db.ingest_lines(&text).unwrap();
+        assert_eq!(
+            got,
+            LineIngest {
+                points: 3,
+                fallback_lines: 0
+            }
+        );
+        let (mut want, _) = reference(&[&text]);
+        assert_eq!(contents(&mut db), contents(&mut want));
+        assert_eq!(
+            (db.points_written, db.stats),
+            (want.points_written, want.stats)
+        );
+        assert_eq!(db.series_count(), 2);
+        // One interned schema serves both series.
+        let names: Vec<_> = db.series.iter().map(|s| s.schemas.len()).collect();
+        assert_eq!(names, vec![1, 1]);
+    }
+
+    #[test]
+    fn lines_that_need_decode_fall_back_and_match_it() {
+        let lines = [
+            "m,a=1,b=2 f=1,g=2 0",  // plain
+            "m,b=2,a=1 f=3 1",      // unsorted tags, same series
+            "m,a=1,a=3 f=4 2",      // duplicate tag: last wins
+            "m,a=1,b=2 g=5,f=6 3",  // unsorted fields
+            "m,a=1,b=2 f=7,f=8 4",  // duplicate field
+            "m\\ x,a=1 f=9 5",      // escaped measurement
+            "m,a=x\\,b\\=2 f=10 6", // escaped tag value: not series a=1,b=2
+            "m,a=x,b=2 f=11 7",     // plain, distinct series
+            "  m,a=1,b=2 f=12 8  ", // padded
+            "m=y,a=1 f=13 9",       // `=` in the measurement
+            "m,a=1,b=2 f=14 10",    // plain again, first series
+        ];
+        let text = lines.join("\n");
+        let mut db = Db::new();
+        let got = db.ingest_lines(&text).unwrap();
+        assert_eq!(
+            got,
+            LineIngest {
+                points: 11,
+                fallback_lines: 7
+            }
+        );
+        let (mut want, _) = reference(&[&text]);
+        assert_eq!(contents(&mut db), contents(&mut want));
+        assert_eq!(
+            (db.points_written, db.stats),
+            (want.points_written, want.stats)
+        );
+    }
+
+    #[test]
+    fn series_from_points_and_from_heads_share_one_index() {
+        let mut db = Db::new();
+        db.insert(decode_line(CAMPAIGN_LINE));
+        db.insert(decode_line("m,a=x\\,b\\=2 f=1 0"));
+        // Byte-equal head of a point-registered series: no new series.
+        db.ingest_lines(&CAMPAIGN_LINE.replace("3600", "0"))
+            .unwrap();
+        assert_eq!(db.series_count(), 2);
+        // A head equal to the *key* of a series that is not plain names a
+        // different series (tags a=x, b=2).
+        db.ingest_lines("m,a=x,b=2 f=2 0").unwrap();
+        assert_eq!(db.series_count(), 3);
+        assert_eq!(db.series[1].tags.len(), 1);
+        assert_eq!(db.series[2].tags.len(), 2);
+        let tags: BTreeMap<String, String> = [("a", "x"), ("b", "2")]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into();
+        assert_eq!(db.series_id("m", &tags), Some(SeriesId(2)));
+    }
+
+    fn decode_line(text: &str) -> Point {
+        line::decode(text).unwrap()
+    }
+
+    #[test]
+    fn rejected_object_leaves_the_store_untouched() {
+        let good = format!("{CAMPAIGN_LINE}\nm,a=1 f=1 0\n");
+        let bad = format!(
+            "{}\nnew,a=1 f=1 0\nnew\\ x f=2 0\n\n{}\n",
+            CAMPAIGN_LINE.replace("3600", "1"),
+            CAMPAIGN_LINE.replace("412.5", "NaN")
+        );
+        let mut db = Db::new();
+        db.ingest_lines(&good).unwrap();
+        let tail = db.subscribe(8);
+        let before = (
+            db.series_count(),
+            db.points_written,
+            db.stats,
+            contents(&mut db),
+        );
+        let err = db.ingest_lines(&bad).unwrap_err();
+        assert_eq!(err, (5, ParseError::BadNumber("NaN".to_string())));
+        assert_eq!(
+            (
+                db.series_count(),
+                db.points_written,
+                db.stats,
+                contents(&mut db)
+            ),
+            before
+        );
+        assert!(tail.is_empty());
+        // The forgotten series are unindexed: the next object registers
+        // them afresh, in first-appearance order.
+        db.ingest_lines("new\\ x f=2 0\nnew,a=1 f=1 0").unwrap();
+        let (mut want, outcomes) = reference(&[&good, &bad, "new\\ x f=2 0\nnew,a=1 f=1 0"]);
+        assert_eq!(outcomes[1], Err(err));
+        assert_eq!(contents(&mut db), contents(&mut want));
+        assert_eq!(db.series[2].measurement, "new x");
+        assert_eq!(tail.len(), 2);
+    }
+
+    #[test]
+    fn ingest_lines_publishes_decoded_points() {
+        let text = format!("{CAMPAIGN_LINE}\nm,b=2,a=1 f=1 0\n");
+        let mut db = Db::new();
+        let tail = db.subscribe(8);
+        db.ingest_lines(&text).unwrap();
+        let mut seen = Vec::new();
+        tail.drain(|p| seen.push(p));
+        assert_eq!(seen, line::decode_batch(&text).unwrap());
+        assert_eq!(db.stats.points_published, 2);
+        assert_eq!(db.stats.insert_batches, 1);
     }
 }

@@ -2,8 +2,15 @@
 //!
 //! Used to persist raw campaign results to the storage bucket and read
 //! them back in the analysis pipeline. The dialect is a subset of
-//! InfluxDB's: numeric fields only, whitespace-free tag values (the writer
-//! escapes spaces as `\ `), integer-second timestamps.
+//! InfluxDB's: finite numeric fields only, whitespace-free tag values (the
+//! writer escapes spaces as `\ `), integer-second timestamps.
+//!
+//! [`decode`] is the reference parser: every line it accepts becomes a
+//! [`Point`], and every line it rejects gets a [`ParseError`]. Bulk ingest
+//! does not build `Point`s: [`Db::ingest_lines`](crate::Db::ingest_lines)
+//! reads escape-free lines with sorted, unique keys straight into the
+//! interned series, and hands every other line to [`decode`], so both
+//! paths accept the same lines and report the same errors.
 
 use crate::point::Point;
 use std::collections::BTreeMap;
@@ -65,11 +72,18 @@ pub fn float_into(v: f64, out: &mut String) {
     }
 }
 
+/// True when `s` contains a character the protocol escapes (`\`, space,
+/// `,`, `=`). A series whose parts all pass this test has a canonical key
+/// that is also its line-protocol head.
+pub(crate) fn needs_escape(s: &str) -> bool {
+    s.contains(['\\', ' ', ',', '='])
+}
+
 /// Appends `s` with the protocol escapes (`\`, space, `,`, `=`).
 pub fn escape_into(s: &str, out: &mut String) {
     // Fast path: campaign measurements, tags and field names contain no
     // escapable characters, so the common case is a straight copy.
-    if !s.contains(['\\', ' ', ',', '=']) {
+    if !needs_escape(s) {
         out.push_str(s);
         return;
     }
@@ -103,7 +117,7 @@ pub enum ParseError {
     MissingSection,
     /// A tag or field was not `key=value`.
     BadKeyValue(String),
-    /// A field value was not a number.
+    /// A field value was not a finite number.
     BadNumber(String),
     /// The timestamp was not an integer.
     BadTimestamp(String),
@@ -146,6 +160,60 @@ fn split_unescaped(s: &str, sep: char) -> Vec<String> {
     parts
 }
 
+/// Parses a field value: any `f64` the standard parser reads, except NaN
+/// and the infinities (a [`Point`] holds finite values only, so
+/// aggregates and rollups never see them).
+pub(crate) fn parse_value(v: &str) -> Result<f64, ParseError> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(ParseError::BadNumber(v.to_string())),
+    }
+}
+
+/// Splits an escape-free `key=value` pair that holds exactly one `=`.
+fn split_pair(kv: &str) -> Option<(&str, &str)> {
+    kv.split_once('=').filter(|(_, v)| !v.contains('='))
+}
+
+/// Visits the pairs of an escape-free `k=v,k=v,...` list whose keys
+/// strictly ascend: the order a `BTreeMap` of them iterates in, with no
+/// key twice. `None` as soon as a pair is malformed, out of order or
+/// refused by `f`.
+pub(crate) fn for_each_ascending_pair<'a>(
+    list: &'a str,
+    mut f: impl FnMut(&'a str, &'a str) -> Option<()>,
+) -> Option<()> {
+    let mut last: Option<&str> = None;
+    for kv in list.split(',') {
+        let (k, v) = split_pair(kv)?;
+        if last.is_some_and(|l| l >= k) {
+            return None;
+        }
+        last = Some(k);
+        f(k, v)?;
+    }
+    Some(())
+}
+
+/// The three space-separated sections (head, fields, timestamp) of a
+/// trimmed line with no escape sequences, or `None` when the line has a
+/// `\` or a different number of sections.
+pub(crate) fn plain_sections(line: &str) -> Option<(&str, &str, &str)> {
+    if line.contains('\\') {
+        return None;
+    }
+    let mut sections = line.split(' ');
+    match (
+        sections.next(),
+        sections.next(),
+        sections.next(),
+        sections.next(),
+    ) {
+        (Some(head), Some(fields), Some(time), None) => Some((head, fields, time)),
+        _ => None,
+    }
+}
+
 /// Parses one protocol line back into a [`Point`].
 pub fn decode(line: &str) -> Result<Point, ParseError> {
     let line = line.trim();
@@ -161,35 +229,24 @@ pub fn decode(line: &str) -> Result<Point, ParseError> {
 /// like [`decode_escaped`] on such lines — `split_unescaped` degenerates
 /// to a plain split when no backslash is present.
 fn decode_unescaped(line: &str) -> Result<Point, ParseError> {
-    let mut sections = line.split(' ');
-    let (Some(head), Some(field_sec), Some(time_sec), None) = (
-        sections.next(),
-        sections.next(),
-        sections.next(),
-        sections.next(),
-    ) else {
+    let Some((head, field_sec, time_sec)) = plain_sections(line) else {
         return Err(ParseError::MissingSection);
     };
     let mut head_parts = head.split(',');
     let measurement = head_parts.next().unwrap_or_default(); // split yields ≥1 part
     let mut tags = BTreeMap::new();
     for kv in head_parts {
-        let mut pair = kv.split('=');
-        let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
+        let Some((k, v)) = split_pair(kv) else {
             return Err(ParseError::BadKeyValue(kv.to_string()));
         };
         tags.insert(k.to_string(), v.to_string());
     }
     let mut fields = BTreeMap::new();
     for kv in field_sec.split(',') {
-        let mut pair = kv.split('=');
-        let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
+        let Some((k, v)) = split_pair(kv) else {
             return Err(ParseError::BadKeyValue(kv.to_string()));
         };
-        let v: f64 = v
-            .parse()
-            .map_err(|_| ParseError::BadNumber(v.to_string()))?;
-        fields.insert(k.to_string(), v);
+        fields.insert(k.to_string(), parse_value(v)?);
     }
     if fields.is_empty() {
         return Err(ParseError::NoFields);
@@ -205,32 +262,30 @@ fn decode_unescaped(line: &str) -> Result<Point, ParseError> {
     ))
 }
 
-/// General path: honours `\`-escaped separators. Slice patterns keep it
-/// total: malformed input surfaces as a [`ParseError`], never a panic —
+/// General path: honours `\`-escaped separators. Iterator patterns keep
+/// it total: malformed input surfaces as a [`ParseError`], never a panic —
 /// these lines arrive over the serve socket from untrusted clients.
 fn decode_escaped(line: &str) -> Result<Point, ParseError> {
-    let sections = split_unescaped(line, ' ');
-    let [head_sec, field_sec, time_sec] = sections.as_slice() else {
+    let mut sections = split_unescaped(line, ' ').into_iter();
+    let (Some(head_sec), Some(field_sec), Some(time_sec), None) = (
+        sections.next(),
+        sections.next(),
+        sections.next(),
+        sections.next(),
+    ) else {
         return Err(ParseError::MissingSection);
     };
-    let mut head = split_unescaped(head_sec, ',').into_iter();
+    let mut head = split_unescaped(&head_sec, ',').into_iter();
     let measurement = unescape(&head.next().unwrap_or_default()); // split yields ≥1 part
     let mut tags = BTreeMap::new();
     for kv in head {
-        let pair = split_unescaped(&kv, '=');
-        let [k, v] = pair.as_slice() else {
-            return Err(ParseError::BadKeyValue(kv.clone()));
-        };
-        tags.insert(unescape(k), unescape(v));
+        let (k, v) = escaped_pair(&kv)?;
+        tags.insert(unescape(&k), unescape(&v));
     }
     let mut fields = BTreeMap::new();
-    for kv in split_unescaped(field_sec, ',') {
-        let pair = split_unescaped(&kv, '=');
-        let [k, v] = pair.as_slice() else {
-            return Err(ParseError::BadKeyValue(kv.clone()));
-        };
-        let value: f64 = v.parse().map_err(|_| ParseError::BadNumber(v.clone()))?;
-        fields.insert(unescape(k), value);
+    for kv in split_unescaped(&field_sec, ',') {
+        let (k, v) = escaped_pair(&kv)?;
+        fields.insert(unescape(&k), parse_value(&v)?);
     }
     if fields.is_empty() {
         return Err(ParseError::NoFields);
@@ -239,6 +294,16 @@ fn decode_escaped(line: &str) -> Result<Point, ParseError> {
         .parse()
         .map_err(|_| ParseError::BadTimestamp(time_sec.clone()))?;
     Ok(Point::from_parts(measurement, tags, fields, time))
+}
+
+/// Splits an escaped `key=value` pair on its one unescaped `=`. Both
+/// halves come back still escaped.
+fn escaped_pair(kv: &str) -> Result<(String, String), ParseError> {
+    let mut pair = split_unescaped(kv, '=').into_iter();
+    let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
+        return Err(ParseError::BadKeyValue(kv.to_string()));
+    };
+    Ok((k, v))
 }
 
 /// Encodes many points, one per line.
@@ -329,6 +394,25 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_non_finite_numbers() {
+        // `f64::from_str` reads all of these; a Point holds finite
+        // values only, so both decoders refuse them.
+        for v in ["NaN", "nan", "inf", "-inf", "+infinity", "1e400", "-1e400"] {
+            let want = Err(ParseError::BadNumber(v.to_string()));
+            assert_eq!(decode(&format!("m f={v} 0")), want, "{v}");
+            assert_eq!(decode(&format!("m\\ x f={v} 0")), want, "escaped {v}");
+            assert_eq!(decode_unescaped(&format!("m f={v} 0")), want, "{v}");
+        }
+        assert_eq!(
+            decode_batch_lines("m f=1 0\nm f=2,g=NaN 1\n"),
+            Err((2, ParseError::BadNumber("NaN".to_string())))
+        );
+        // Finite extremes still parse, and underflow rounds to zero.
+        assert_eq!(decode("m f=1e-400 0").unwrap().fields["f"], 0.0);
+        assert_eq!(decode("m f=1.7e308 0").unwrap().fields["f"], 1.7e308);
+    }
+
+    #[test]
     fn fast_and_escaped_decoders_agree() {
         // Escape-free lines hit decode_unescaped; both paths must agree
         // on points and on errors.
@@ -337,6 +421,7 @@ mod tests {
             "m f=1 0",
             "m  0",
             "m f=x 0",
+            "m f=NaN 0",
             "m f=1 tomorrow",
             "m,oops f=1 0",
             "nope",
