@@ -5,16 +5,24 @@
 //! the same region reads it back ("We centralize the data processing to
 //! the same region as the storage bucket to avoid transferring both raw
 //! and processed data across different cloud regions", §3.3).
+//!
+//! Memory holds each object packed by [`crate::pack`], once: campaign
+//! checkpoints share the packed bytes by reference count, and the text
+//! is unpacked only to be ingested or serialized. Billing does not meter
+//! that in-memory form. It meters the modelled gzip size
+//! ([`Object::stored_bytes`]), a fixed share of the text's length.
 
+use crate::pack::Packed;
 use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One stored object.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Object {
-    /// Object payload.
-    pub data: String,
+    /// Object payload, packed; shared, never copied.
+    pub data: Arc<Packed>,
     /// Upload time.
     pub uploaded: SimTime,
     /// Approximate compressed size in bytes (what billing meters).
@@ -50,9 +58,15 @@ impl Bucket {
         }
     }
 
-    /// Uploads (and "compresses") an object; overwrites silently, like
+    /// Uploads (and compresses) an object; overwrites silently, like
     /// object stores do.
-    pub fn put(&mut self, key: impl Into<String>, data: String, now: SimTime) {
+    pub fn put(&mut self, key: impl Into<String>, data: &str, now: SimTime) {
+        self.put_packed(key, Arc::new(Packed::new(data)), now);
+    }
+
+    /// [`Self::put`] for an object packed already: stores `data` itself,
+    /// with the stored size `put` would meter for its text.
+    pub fn put_packed(&mut self, key: impl Into<String>, data: Arc<Packed>, now: SimTime) {
         let stored_bytes = (data.len() as f64 * COMPRESSION_RATIO).ceil() as u64;
         self.objects.insert(
             key.into(),
@@ -72,7 +86,7 @@ impl Bucket {
     pub fn try_put(
         &mut self,
         key: impl Into<String>,
-        data: String,
+        data: &str,
         now: SimTime,
         plan: &faultsim::FaultPlan,
         vm: &str,
@@ -102,6 +116,11 @@ impl Bucket {
     /// Fetches an object.
     pub fn get(&self, key: &str) -> Option<&Object> {
         self.objects.get(key)
+    }
+
+    /// Every object with its key, in key order.
+    pub fn objects(&self) -> impl Iterator<Item = (&str, &Object)> {
+        self.objects.iter().map(|(k, o)| (k.as_str(), o))
     }
 
     /// Lists keys under a prefix, lexicographic order.
@@ -136,13 +155,9 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let mut b = Bucket::new("us-east1");
-        b.put(
-            "raw/d0/vm1.lp",
-            "throughput mbps=1.0 0".into(),
-            SimTime::EPOCH,
-        );
+        b.put("raw/d0/vm1.lp", "throughput mbps=1.0 0", SimTime::EPOCH);
         let o = b.get("raw/d0/vm1.lp").unwrap();
-        assert!(o.data.contains("mbps"));
+        assert_eq!(o.data.unpack(), "throughput mbps=1.0 0");
         assert!(o.stored_bytes < o.data.len() as u64);
         assert!(b.get("nope").is_none());
     }
@@ -151,7 +166,7 @@ mod tests {
     fn list_by_prefix() {
         let mut b = Bucket::new("us-east1");
         for key in ["raw/d0/a", "raw/d0/b", "raw/d1/a", "proc/x"] {
-            b.put(key, "x".into(), SimTime::EPOCH);
+            b.put(key, "x", SimTime::EPOCH);
         }
         assert_eq!(b.list("raw/d0/"), vec!["raw/d0/a", "raw/d0/b"]);
         assert_eq!(b.list("raw/"), vec!["raw/d0/a", "raw/d0/b", "raw/d1/a"]);
@@ -161,9 +176,9 @@ mod tests {
     #[test]
     fn overwrite_replaces() {
         let mut b = Bucket::new("r");
-        b.put("k", "aaaa".into(), SimTime::EPOCH);
+        b.put("k", "aaaa", SimTime::EPOCH);
         let before = b.stored_bytes();
-        b.put("k", "aaaaaaaaaaaaaaaa".into(), SimTime(10));
+        b.put("k", "aaaaaaaaaaaaaaaa", SimTime(10));
         assert_eq!(b.len(), 1);
         assert!(b.stored_bytes() > before);
         assert_eq!(b.get("k").unwrap().uploaded, SimTime(10));
@@ -175,7 +190,7 @@ mod tests {
         // Empty plan: identical to put.
         b.try_put(
             "k0",
-            "x".into(),
+            "x",
             SimTime::EPOCH,
             &faultsim::FaultPlan::none(),
             "vm-0",
@@ -188,7 +203,7 @@ mod tests {
         // Certain failure: nothing stored, error reports the attempt.
         let mut plan = faultsim::FaultPlan::uniform(1, 0.0);
         plan.rates.upload_failure = 1.0;
-        let err = b.try_put("k1", "x".into(), SimTime::EPOCH, &plan, "vm-0", 3, 2);
+        let err = b.try_put("k1", "x", SimTime::EPOCH, &plan, "vm-0", 3, 2);
         assert_eq!(err, Err(UploadError { day: 3, attempt: 2 }));
         assert!(b.get("k1").is_none());
     }
@@ -196,10 +211,10 @@ mod tests {
     #[test]
     fn absorb_merges_objects() {
         let mut a = Bucket::new("r");
-        a.put("raw/d0/vm0", "x".into(), SimTime::EPOCH);
+        a.put("raw/d0/vm0", "x", SimTime::EPOCH);
         let mut b = Bucket::new("r");
-        b.put("raw/d0/vm1", "y".into(), SimTime(5));
-        b.put("raw/d1/vm1", "z".into(), SimTime(9));
+        b.put("raw/d0/vm1", "y", SimTime(5));
+        b.put("raw/d1/vm1", "z", SimTime(9));
         a.absorb(b);
         assert_eq!(
             a.list("raw/"),
@@ -209,11 +224,30 @@ mod tests {
     }
 
     #[test]
+    fn packed_objects_meter_their_text() {
+        // Billing meters the modelled size of the text, whatever the
+        // in-memory codec achieves, and a shared packed object is stored
+        // as is.
+        let text = "speedtest,a=b f=1.5 0\n".repeat(100);
+        let mut b = Bucket::new("r");
+        b.put("a", &text, SimTime::EPOCH);
+        let shared = Arc::clone(&b.get("a").unwrap().data);
+        b.put_packed("b", Arc::clone(&shared), SimTime(1));
+        let (a, c) = (b.get("a").unwrap(), b.get("b").unwrap());
+        assert_eq!(a.stored_bytes, (text.len() as f64 * 0.22).ceil() as u64);
+        assert_eq!(c.stored_bytes, a.stored_bytes);
+        assert!(Arc::ptr_eq(&c.data, &shared));
+        assert!(a.data.packed_len() < text.len() / 10);
+        let keys: Vec<&str> = b.objects().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["a", "b"]);
+    }
+
+    #[test]
     fn stored_bytes_accumulate() {
         let mut b = Bucket::new("r");
         assert!(b.is_empty());
-        b.put("a", "x".repeat(1000), SimTime::EPOCH);
-        b.put("b", "y".repeat(1000), SimTime::EPOCH);
+        b.put("a", &"x".repeat(1000), SimTime::EPOCH);
+        b.put("b", &"y".repeat(1000), SimTime::EPOCH);
         assert_eq!(b.stored_bytes(), 2 * 220);
     }
 }

@@ -539,7 +539,7 @@ fn main() {
                 let bucket = &result.buckets[0];
                 if let Some(key) = bucket.list("raw/").first() {
                     println!("\nfirst object {key}:");
-                    for line in bucket.get(key).unwrap().data.lines().take(5) {
+                    for line in bucket.get(key).unwrap().data.unpack().lines().take(5) {
                         println!("  {line}");
                     }
                 }

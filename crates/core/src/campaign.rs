@@ -21,6 +21,7 @@ use clasp_obs::{MetricsRegistry, Observer};
 use cloudsim::billing::Billing;
 use cloudsim::bucket::Bucket;
 use cloudsim::cron::CronSchedule;
+use cloudsim::pack::Packed;
 use cloudsim::provider::RegionSpec;
 use cloudsim::vm::MachineType;
 use faultsim::{
@@ -217,11 +218,16 @@ impl ResumeState {
             return Ok(st);
         };
         let counters = ckpt.get("counters").ok_or("checkpoint missing counters")?;
-        let u = |k: &str| counters.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-        st.vm_count = u("vm_count") as usize;
-        st.tests_run = u("tests_run");
-        st.tainted = u("tainted");
-        st.billing = billing_from_json(ckpt.get("billing").ok_or("checkpoint missing billing")?);
+        let u = |k: &str| {
+            counters
+                .get(k)
+                .and_then(|v| v.as_u64())
+                .ok_or_else(|| format!("checkpoint counters missing {k:?}"))
+        };
+        st.vm_count = u("vm_count")? as usize;
+        st.tests_run = u("tests_run")?;
+        st.tainted = u("tainted")?;
+        st.billing = billing_from_json(ckpt.get("billing").ok_or("checkpoint missing billing")?)?;
         st.flog = FaultLog::from_json(
             ckpt.get("fault_log")
                 .ok_or("checkpoint missing fault_log")?,
@@ -235,8 +241,12 @@ impl ResumeState {
             .and_then(|c| c.as_array())
             .ok_or("checkpoint missing completed")?
             .iter()
-            .filter_map(|v| v.as_str().map(String::from))
-            .collect();
+            .map(|v| {
+                v.as_str()
+                    .map(String::from)
+                    .ok_or_else(|| format!("checkpoint completed entry {v:?} is not a unit label"))
+            })
+            .collect::<Result<_, _>>()?;
         for entry in ckpt
             .get("raw")
             .and_then(|r| r.as_array())
@@ -246,11 +256,12 @@ impl ResumeState {
                 .get("unit")
                 .and_then(|v| v.as_str())
                 .ok_or("raw entry missing unit")?;
-            // Checkpoints produced in-process carry shared subtrees;
-            // reuse the existing Arc instead of re-wrapping a deep copy.
+            // Checkpoints produced in-process carry shared, packed
+            // snapshots: reuse the existing Arc. A parsed checkpoint's
+            // objects are packed here, once.
             let snap = match entry {
                 serde_json::Value::Shared(arc) => arc.clone(),
-                other => std::sync::Arc::new(other.clone()),
+                other => std::sync::Arc::new(bucket_snapshot(&bucket_from_snapshot(other)?, label)),
             };
             st.raw_store.push((label.to_string(), snap));
         }
@@ -600,6 +611,7 @@ impl<'w> Campaign<'w> {
                             &self.config.pretest,
                         );
                         shard.inc("prep.pretest_probes", sel.pretest_probes);
+                        shard.inc("prep.pretest_queue_series", sel.pretest_queue_series);
                         let servers: Vec<String> =
                             sel.picks.iter().map(|p| p.server_id.clone()).collect();
                         let vm_plan = [Tier::Premium, Tier::Standard]
@@ -753,7 +765,11 @@ impl<'w> Campaign<'w> {
                 kind,
             } = unit;
             let mut bucket = if done[i] {
-                bucket_from_snapshot(&raw_store, label)?
+                let (_, snap) = raw_store
+                    .iter()
+                    .find(|(l, _)| l == label)
+                    .ok_or_else(|| format!("checkpoint has no raw data for unit {label:?}"))?;
+                bucket_from_snapshot(snap)?
             } else {
                 match kind {
                     UnitKind::Topo { .. } => Bucket::new(region.name.clone()),
@@ -826,6 +842,8 @@ impl<'w> Campaign<'w> {
                     m.inc("ingest.points", stats.points);
                     m.inc("ingest.fallback_lines", stats.fallback_lines);
                     m.inc("ingest.errors", stats.errors);
+                    m.inc("ingest.raw_bytes", stats.raw_bytes);
+                    m.inc("ingest.packed_bytes", stats.packed_bytes);
                 });
                 obs.advance(stats.points);
                 obs.event(
@@ -1277,17 +1295,16 @@ fn tier_salt(tier: Tier) -> u64 {
 }
 
 /// Dumps a bucket's objects to JSON: the durable-storage side of a
-/// campaign checkpoint.
+/// campaign checkpoint. Each object's `data` shares the bucket's packed
+/// bytes ([`Packed::to_json`]); it serializes as the object's text.
 fn bucket_snapshot(bucket: &Bucket, unit: &str) -> serde_json::Value {
     use serde_json::{Map, Value};
     let objects: Vec<Value> = bucket
-        .list("")
-        .into_iter()
-        .map(|key| {
-            let obj = bucket.get(key).expect("listed keys exist");
+        .objects()
+        .map(|(key, obj)| {
             let mut m = Map::new();
             m.insert("key".into(), key.into());
-            m.insert("data".into(), obj.data.clone().into());
+            m.insert("data".into(), obj.data.to_json());
             m.insert("uploaded".into(), obj.uploaded.as_secs().into());
             Value::Object(m)
         })
@@ -1299,17 +1316,11 @@ fn bucket_snapshot(bucket: &Bucket, unit: &str) -> serde_json::Value {
     Value::Object(m)
 }
 
-/// Rebuilds a bucket from the snapshot stored for `unit`. `put` re-runs
-/// the deterministic compression, so the rebuilt bucket is identical to
-/// the one snapshotted.
-fn bucket_from_snapshot(
-    raw_store: &[(String, std::sync::Arc<serde_json::Value>)],
-    unit: &str,
-) -> Result<Bucket, String> {
-    let (_, snap) = raw_store
-        .iter()
-        .find(|(label, _)| label == unit)
-        .ok_or_else(|| format!("checkpoint has no raw data for unit {unit:?}"))?;
+/// Rebuilds a bucket from its snapshot. Packed objects are shared as
+/// they are; plain ones (a parsed checkpoint) are packed by `put`, which
+/// is deterministic, so either way the bucket equals the one
+/// snapshotted.
+fn bucket_from_snapshot(snap: &serde_json::Value) -> Result<Bucket, String> {
     let region = snap
         .get("bucket")
         .and_then(|v| v.as_str())
@@ -1326,10 +1337,13 @@ fn bucket_from_snapshot(
             .ok_or("object missing key")?;
         let data = obj
             .get("data")
-            .and_then(|v| v.as_str())
+            .and_then(Packed::from_json)
             .ok_or("object missing data")?;
-        let uploaded = obj.get("uploaded").and_then(|v| v.as_u64()).unwrap_or(0);
-        bucket.put(key, data.to_string(), SimTime(uploaded));
+        let uploaded = obj
+            .get("uploaded")
+            .and_then(|v| v.as_u64())
+            .ok_or("object missing uploaded")?;
+        bucket.put_packed(key, data, SimTime(uploaded));
     }
     Ok(bucket)
 }
@@ -1355,17 +1369,29 @@ fn billing_to_json(billing: &Billing) -> serde_json::Value {
     Value::Object(m)
 }
 
-fn billing_from_json(v: &serde_json::Value) -> Billing {
-    let u = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-    let f = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
+fn billing_from_json(v: &serde_json::Value) -> Result<Billing, String> {
+    let field = |k: &str| {
+        v.get(k)
+            .ok_or_else(|| format!("checkpoint billing missing {k:?}"))
+    };
+    let u = |k: &str| {
+        field(k)?
+            .as_u64()
+            .ok_or_else(|| format!("checkpoint billing {k:?} is not a byte count"))
+    };
+    let f = |k: &str| {
+        field(k)?
+            .as_f64()
+            .ok_or_else(|| format!("checkpoint billing {k:?} is not a number"))
+    };
     let mut billing = Billing::new();
-    billing.premium_egress_bytes = u("premium_egress_bytes");
-    billing.standard_egress_bytes = u("standard_egress_bytes");
-    billing.ingress_bytes = u("ingress_bytes");
-    billing.vm_hours_n1 = f("vm_hours_n1");
-    billing.vm_hours_n2 = f("vm_hours_n2");
-    billing.storage_byte_hours = f("storage_byte_hours");
-    billing
+    billing.premium_egress_bytes = u("premium_egress_bytes")?;
+    billing.standard_egress_bytes = u("standard_egress_bytes")?;
+    billing.ingress_bytes = u("ingress_bytes")?;
+    billing.vm_hours_n1 = f("vm_hours_n1")?;
+    billing.vm_hours_n2 = f("vm_hours_n2")?;
+    billing.storage_byte_hours = f("storage_byte_hours")?;
+    Ok(billing)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1743,12 +1769,80 @@ mod tests {
         );
     }
 
+    /// `text` parsed, with `edit` applied to the object at `path` (keys,
+    /// and indices into arrays).
+    fn edited(
+        text: &str,
+        path: &[&str],
+        edit: impl FnOnce(&mut serde_json::Map),
+    ) -> serde_json::Value {
+        use serde_json::Value;
+        let mut doc = serde_json::from_str(text).unwrap();
+        let mut at = &mut doc;
+        for step in path {
+            at = match at {
+                Value::Object(m) => m.get_mut(*step).unwrap(),
+                Value::Array(a) => &mut a[step.parse::<usize>().unwrap()],
+                other => panic!("{step:?} in {other:?}"),
+            };
+        }
+        let Value::Object(m) = at else {
+            panic!("{path:?} is not an object")
+        };
+        edit(m);
+        doc
+    }
+
     #[test]
     fn resume_rejects_malformed_checkpoints() {
         let world = World::tiny(121);
         let campaign = Campaign::new(&world, CampaignConfig::small(121));
         let bad = serde_json::from_str("{}").unwrap();
         assert!(campaign.runner().resume_from(&bad).run().is_err());
+
+        // A parsed checkpoint resumes to the same bytes...
+        let full = campaign.runner().run().unwrap();
+        let text = serde_json::to_string(&full.checkpoints[0]);
+        let parsed = serde_json::from_str(&text).unwrap();
+        let resumed = campaign.runner().resume_from(&parsed).run().unwrap();
+        assert_eq!(
+            serde_json::to_string(resumed.checkpoints.last().unwrap()),
+            serde_json::to_string(full.checkpoints.last().unwrap())
+        );
+        // ...and every field it is resumed from is required: one missing
+        // or mistyped is an error, not a zero or a dropped entry.
+        let mut cases = Vec::new();
+        for k in ["vm_count", "tests_run", "tainted"] {
+            cases.push((k, edited(&text, &["counters"], |m| drop(m.remove(k)))));
+        }
+        cases.push((
+            "completed",
+            edited(&text, &[], |m| {
+                if let Some(serde_json::Value::Array(c)) = m.get_mut("completed") {
+                    c.push(7u64.into());
+                }
+            }),
+        ));
+        for k in [
+            "premium_egress_bytes",
+            "standard_egress_bytes",
+            "ingress_bytes",
+            "vm_hours_n1",
+            "vm_hours_n2",
+            "storage_byte_hours",
+        ] {
+            cases.push((k, edited(&text, &["billing"], |m| drop(m.remove(k)))));
+        }
+        cases.push((
+            "uploaded",
+            edited(&text, &["raw", "0", "objects", "0"], |m| {
+                drop(m.remove("uploaded"))
+            }),
+        ));
+        for (field, ckpt) in &cases {
+            let err = campaign.runner().resume_from(ckpt).run().err();
+            assert!(err.is_some(), "a checkpoint without {field} resumed");
+        }
     }
 
     /// Strips the observer-only checkpoint section, leaving the format
@@ -1800,6 +1894,9 @@ mod tests {
             m.counter("prep.pretest_probes"),
             observed.diff_selections[0].pretest_probes
         );
+        let queue_series = observed.diff_selections[0].pretest_queue_series;
+        assert_eq!(m.counter("prep.pretest_queue_series"), queue_series);
+        assert!(queue_series > 0);
         // Spans: campaign root + three phases, clock strictly advanced.
         let spans = obs.spans();
         assert_eq!(spans.len(), 4);

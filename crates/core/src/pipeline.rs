@@ -7,9 +7,10 @@
 //!
 //! There is one ingest path, [`ingest_streaming`], at every job count
 //! and on resume: objects go into the store one at a time, in bucket
-//! listing order, each through [`Db::ingest_lines`], which reads the
-//! campaign's lines straight into the interned series and keeps a
-//! malformed object out of the store entirely.
+//! listing order, each unpacked into one reused buffer and read by
+//! [`Db::ingest_lines`], which reads the campaign's lines straight into
+//! the interned series and keeps a malformed object out of the store
+//! entirely.
 
 use cloudsim::bucket::Bucket;
 use simnet::routing::Tier;
@@ -89,7 +90,7 @@ pub fn upload_batch(
 ) -> String {
     let body = encode_results(results, region, method);
     let key = format!("raw/{}/{:04}/{}.lp", region, now.day(), vm);
-    bucket.put(key.clone(), body, now);
+    bucket.put(key.clone(), &body, now);
     key
 }
 
@@ -118,15 +119,9 @@ pub fn upload_batch_resilient(
     let key = format!("raw/{}/{:04}/{}.lp", region, now.day(), vm);
     let jitter_key = faultsim::name_key(vm) ^ now.day();
     let mut fault_id = None;
-    // Each attempt moves the body into try_put (a failed attempt drops it
-    // before storing); re-encoding on the rare retry is cheaper than
-    // cloning every batch up front.
-    let mut body = Some(encode_results(results, region, method));
+    let body = encode_results(results, region, method);
     for attempt in 0..policy.max_attempts {
-        let b = body
-            .take()
-            .unwrap_or_else(|| encode_results(results, region, method));
-        match bucket.try_put(key.clone(), b, now, plan, vm, now.day(), attempt) {
+        match bucket.try_put(key.clone(), &body, now, plan, vm, now.day(), attempt) {
             Ok(()) => {
                 if let Some(id) = fault_id {
                     let recovered_at = now.as_secs() + policy.total_delay(attempt + 1, jitter_key);
@@ -170,11 +165,15 @@ pub fn ingest_streaming(
     mut on_object: impl FnMut(&str, u64),
 ) -> IngestStats {
     let mut stats = IngestStats::default();
+    let mut text = String::new();
     for key in bucket.list("raw/") {
         let Some(obj) = bucket.get(key) else {
             continue; // listed keys exist
         };
-        match db.ingest_lines(&obj.data) {
+        obj.data.unpack_into(&mut text);
+        stats.raw_bytes += text.len() as u64;
+        stats.packed_bytes += obj.data.packed_len() as u64;
+        match db.ingest_lines(&text) {
             Ok(got) => {
                 stats.points += got.points;
                 stats.fallback_lines += got.fallback_lines;
@@ -202,6 +201,10 @@ pub struct IngestStats {
     pub points: u64,
     /// Objects that failed to parse.
     pub errors: u64,
+    /// Text bytes of every object read, parsed or not.
+    pub raw_bytes: u64,
+    /// Bytes those objects take packed in the bucket.
+    pub packed_bytes: u64,
     /// Lines of parsed objects that took the general
     /// [`tsdb::line::decode`] path instead of being read in place (see
     /// [`tsdb::LineIngest::fallback_lines`]). Campaign-written objects
@@ -313,7 +316,7 @@ mod tests {
         assert!(log.is_empty());
         let a = plain.get(&key).unwrap();
         let b = resilient.get(&key).unwrap();
-        assert_eq!(a.data, b.data);
+        assert_eq!(a.data.unpack(), b.data.unpack());
         assert_eq!(a.uploaded, b.uploaded);
     }
 
@@ -373,7 +376,7 @@ mod tests {
     #[test]
     fn malformed_objects_counted_not_fatal() {
         let mut bucket = Bucket::new("r");
-        bucket.put("raw/bad.lp", "this is not line protocol".into(), SimTime(0));
+        bucket.put("raw/bad.lp", "this is not line protocol", SimTime(0));
         upload_batch(
             &mut bucket,
             "us-east1",
@@ -399,8 +402,8 @@ mod tests {
     #[test]
     fn each_malformed_object_surfaced_separately() {
         let mut bucket = Bucket::new("r");
-        bucket.put("raw/one.lp", "m f=x 0".into(), SimTime(0));
-        bucket.put("raw/two.lp", "m f=1 0\nnot a line".into(), SimTime(1));
+        bucket.put("raw/one.lp", "m f=x 0", SimTime(0));
+        bucket.put("raw/two.lp", "m f=1 0\nnot a line", SimTime(1));
         let mut db = Db::new();
         let stats = ingest(&bucket, &mut db);
         assert_eq!(stats.errors, 2);
@@ -435,13 +438,12 @@ mod tests {
             "speedtest,tier=premium,server=s1,region=us-east1,method=topo download=3,upload=1 7200\n\
              speedtest,method=topo,region=us-east1,server=s1,tier=premium download=4,download=5 9000\n\
              speedtest,method=topo,region=us-east1,server=s1,tier=premium upload=6,download=7 9100\n\
-             speedtest,method=topo,region=us-east1,server=s1,tier=premium download=8,upload=9 9200\n"
-                .into(),
+             speedtest,method=topo,region=us-east1,server=s1,tier=premium download=8,upload=9 9200\n",
             SimTime(11),
         );
         bucket.put(
             "raw/us-east1/0000/vm2.lp",
-            "m f=1 0\nm f=inf 1".into(),
+            "m f=1 0\nm f=inf 1",
             SimTime(12),
         );
         let mut db = Db::new();
@@ -453,7 +455,8 @@ mod tests {
 
         let mut want = Db::new();
         for key in bucket.list("raw/") {
-            if let Ok(points) = tsdb::line::decode_batch_lines(&bucket.get(key).unwrap().data) {
+            let text = bucket.get(key).unwrap().data.unpack();
+            if let Ok(points) = tsdb::line::decode_batch_lines(&text) {
                 want.insert_batch(points);
             }
         }
@@ -479,7 +482,7 @@ mod tests {
     #[test]
     fn non_raw_objects_ignored() {
         let mut bucket = Bucket::new("r");
-        bucket.put("processed/x", "whatever".into(), SimTime(0));
+        bucket.put("processed/x", "whatever", SimTime(0));
         let mut db = Db::new();
         let stats = ingest(&bucket, &mut db);
         assert_eq!(stats.objects + stats.errors, 0);

@@ -67,6 +67,9 @@ pub struct DifferentialSelection {
     pub picks: Vec<DifferentialPick>,
     /// Pre-test RTT evaluations (probes over every VP and tier).
     pub pretest_probes: u64,
+    /// Distinct path segments whose queueing delay the pre-test computed
+    /// over its probe instants (each once, for every path crossing it).
+    pub pretest_queue_series: u64,
 }
 
 /// Pre-test parameters.
@@ -101,14 +104,18 @@ impl Default for PreTestConfig {
 }
 
 /// The pre-test's `(AS, city, premium median, standard median)` tuples
-/// in `(AS, city)` order, with the RTT evaluations it took.
+/// in `(AS, city)` order.
+type PretestTuples = Vec<(AsId, CityId, f64, f64)>;
+
+/// The pre-test's tuples, with the RTT evaluations it took and the
+/// distinct segments whose queue series it computed.
 fn pretest_tuples(
     world: &World,
     paths: &Paths<'_>,
     perf: &PerfModel<'_>,
     region_city: CityId,
     cfg: &PreTestConfig,
-) -> (Vec<(AsId, CityId, f64, f64)>, u64) {
+) -> (PretestTuples, u64, u64) {
     let topo = &world.topo;
     let vm_ip = topo.vm_ip(region_city, 1);
     // Every VP is its own <city, AS> tuple (region and tier fixed per
@@ -116,10 +123,10 @@ fn pretest_tuples(
     // taken as the slice arrives, the premium one held until the same
     // VP's standard slice follows. Tuples need both tiers with enough
     // samples.
-    let mut tuples: Vec<(AsId, CityId, f64, f64)> = Vec::new();
+    let mut tuples: PretestTuples = Vec::new();
     let mut premium: Option<(u32, f64)> = None;
     let mut pretest_probes = 0u64;
-    VantageSet::generate(topo, cfg.seed).probe_tiers(
+    let queue_series = VantageSet::generate(topo, cfg.seed).probe_tiers(
         paths,
         perf,
         region_city,
@@ -146,7 +153,7 @@ fn pretest_tuples(
         },
     );
     tuples.sort_by_key(|(a, c, _, _)| (*a, *c));
-    (tuples, pretest_probes)
+    (tuples, pretest_probes, queue_series)
 }
 
 /// Runs the differential selection for one region.
@@ -160,7 +167,8 @@ pub fn select(
 ) -> DifferentialSelection {
     let topo = &world.topo;
     let region_country = topo.cities.get(region_city).country;
-    let (tuples, pretest_probes) = pretest_tuples(world, paths, perf, region_city, cfg);
+    let (tuples, pretest_probes, pretest_queue_series) =
+        pretest_tuples(world, paths, perf, region_city, cfg);
     let tuples_considered = tuples.len();
 
     // Candidate conditions.
@@ -256,6 +264,7 @@ pub fn select(
         candidate_tuples,
         picks,
         pretest_probes,
+        pretest_queue_series,
     }
 }
 
@@ -419,7 +428,7 @@ mod tests {
                     expected.push((as_id, city, median(prem).unwrap(), median(std).unwrap()));
                 }
             }
-            let (direct, probes) =
+            let (direct, probes, queue_series) =
                 pretest_tuples(&world, &session.paths, &session.perf, city, &cfg);
             let bits = |t: &[(AsId, CityId, f64, f64)]| -> Vec<(AsId, CityId, u64, u64)> {
                 t.iter()
@@ -429,6 +438,7 @@ mod tests {
             assert_eq!(bits(&direct), bits(&expected), "{region} {probes_per_vp}");
             let n_samples: usize = grouped.values().map(Vec::len).sum();
             assert_eq!(probes, n_samples as u64);
+            assert!(queue_series > 0);
             assert_eq!(direct.is_empty(), probes_per_vp < 100);
         }
     }

@@ -864,6 +864,30 @@ mod tests {
     }
 
     #[test]
+    fn empty_names_in_ingest_are_protocol_errors() {
+        // An empty measurement, tag key or field key is refused when the
+        // batch arrives, not at publish.
+        let s = Server::new(ServerConfig::default());
+        for (seq, (bad, err)) in [
+            (",a=b f=1 1", "empty measurement name"),
+            ("m,=v f=1 1", "empty key in pair: =v"),
+            ("m =1 1", "empty key in pair: =1"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let line = format!(
+                "{{\"op\":\"ingest\",\"client\":\"c\",\"seq\":{seq},\"points\":[\"m f=1 0\",\"{bad}\"]}}"
+            );
+            let resp = s.handle_line(&line);
+            assert!(resp.contains("\"ok\":false"), "{line}: {resp}");
+            assert!(resp.contains(err), "{resp}");
+        }
+        s.publish();
+        assert_eq!(s.snapshot().points(), 0);
+    }
+
+    #[test]
     fn handle_line_rejects_garbage_and_counts_errors() {
         let s = Server::new(ServerConfig::default());
         let resp = s.handle_line("not json");

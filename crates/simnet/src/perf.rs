@@ -24,6 +24,7 @@ use crate::load::{DiurnalBasis, LoadModel};
 use crate::routing::{load_key, RouterPath, Segment, SegmentKind};
 use crate::time::SimTime;
 use crate::topology::{CongestionClass, LinkId, Topology};
+use std::collections::HashMap;
 
 /// Parameters of one bulk-transfer measurement flow.
 #[derive(Debug, Clone, Copy)]
@@ -221,6 +222,118 @@ impl BasisCache {
             self.n += 1;
         }
         b
+    }
+}
+
+/// Whether [`PerfModel::eval_queue_ms`] skips `seg`: an idle segment's
+/// term is `+0.0`, except on a cloud edge while degradations are
+/// installed, where it may carry `added_delay_ms`.
+#[inline]
+fn skips_queue(seg: &CompiledSeg, degraded: bool) -> bool {
+    seg.idle && !(degraded && matches!(seg.kind, SegmentKind::CloudEdge(_)))
+}
+
+/// [`PerfModel::idle_rtt_ms_eval`] at one fixed list of instants, for
+/// many paths that share segments.
+///
+/// Each distinct segment's queueing term is computed once per instant
+/// and kept; a path's queue at an instant then sums its segments' kept
+/// terms in path order. Those are the terms `eval_queue_ms` computes,
+/// added in the same order and with the same skip rule, so every result
+/// has the same bits. A segment is known by every input of its term —
+/// load key, congestion class, UTC offset, queue ceiling and kind (the
+/// kind decides degradations) — and the instants are fixed for the
+/// series' life, as are the model's degradations, which it borrows.
+/// The differential pre-test sends every vantage point's paths into one
+/// region across a shared core: in the paper world's three differential
+/// regions its paths cross a queueing segment 20,117 times, and 3,993
+/// of those segments are distinct.
+pub struct QueueSeries<'p, 't> {
+    perf: &'p PerfModel<'t>,
+    instants: Vec<SimTime>,
+    /// `(UTC offset, diurnal basis at each instant)`, per offset seen.
+    bases: Vec<(i32, Vec<DiurnalBasis>)>,
+    /// Each segment's row in `terms`.
+    rows: HashMap<TermKey, usize>,
+    /// Row `r` holds one segment's term at each instant, at
+    /// `terms[r * instants.len()..][..instants.len()]`.
+    terms: Vec<f64>,
+    /// The reverse path's queues, while [`Self::idle_rtt_ms`] sums.
+    rev: Vec<f64>,
+}
+
+/// Every input of a segment's queueing term but the instant.
+#[derive(PartialEq, Eq, Hash)]
+struct TermKey {
+    load_key: u64,
+    congestion: CongestionClass,
+    utc_offset: i32,
+    q_max_bits: u64,
+    kind: SegmentKind,
+}
+
+impl QueueSeries<'_, '_> {
+    /// Distinct segments whose terms the series has computed.
+    pub fn distinct_segments(&self) -> u64 {
+        self.rows.len() as u64
+    }
+
+    /// Fills `out` with `perf.idle_rtt_ms_eval(fwd, rev, t)` for each
+    /// instant `t`, in order.
+    pub fn idle_rtt_ms(&mut self, fwd: &CompiledPath, rev: &CompiledPath, out: &mut Vec<f64>) {
+        let mut rq = std::mem::take(&mut self.rev);
+        self.queue_ms(fwd, out);
+        self.queue_ms(rev, &mut rq);
+        for (q, r) in out.iter_mut().zip(&rq) {
+            *q = fwd.oneway_ms + rev.oneway_ms + *q + r;
+        }
+        self.rev = rq;
+    }
+
+    /// Fills `out` with `perf.eval_queue_ms(path, t)` for each instant.
+    fn queue_ms(&mut self, path: &CompiledPath, out: &mut Vec<f64>) {
+        let n = self.instants.len();
+        out.clear();
+        out.resize(n, 0.0);
+        let degraded = !self.perf.degradations.is_empty();
+        for seg in &path.segs {
+            if skips_queue(seg, degraded) {
+                continue;
+            }
+            let row = self.term_row(seg, degraded) * n;
+            for (q, term) in out.iter_mut().zip(&self.terms[row..row + n]) {
+                *q += term;
+            }
+        }
+    }
+
+    /// The row of `seg`'s terms, computed on first sight.
+    fn term_row(&mut self, seg: &CompiledSeg, degraded: bool) -> usize {
+        let key = TermKey {
+            load_key: seg.load_key,
+            congestion: seg.congestion,
+            utc_offset: seg.utc_offset,
+            q_max_bits: seg.q_max.to_bits(),
+            kind: seg.kind,
+        };
+        let next = self.rows.len();
+        let row = *self.rows.entry(key).or_insert(next);
+        if row == next {
+            let b = match self.bases.iter().position(|(o, _)| *o == seg.utc_offset) {
+                Some(b) => b,
+                None => {
+                    let at = |&t: &SimTime| DiurnalBasis::at(t, seg.utc_offset);
+                    let bases = self.instants.iter().map(at).collect();
+                    self.bases.push((seg.utc_offset, bases));
+                    self.bases.len() - 1
+                }
+            };
+            let perf = self.perf;
+            let terms = self.instants.iter().zip(&self.bases[b].1);
+            self.terms
+                .extend(terms.map(|(&t, basis)| perf.queue_term(seg, basis, t, degraded)));
+        }
+        row
     }
 }
 
@@ -607,26 +720,52 @@ impl<'t> PerfModel<'t> {
 
         let mut queue = 0.0;
         for seg in &path.segs {
-            if seg.idle && !(degraded && matches!(seg.kind, SegmentKind::CloudEdge(_))) {
+            if skips_queue(seg, degraded) {
                 continue;
             }
             let basis = bases.get(seg.utc_offset);
-            let u = self
-                .load
-                .utilization_with(seg.load_key, seg.congestion, &basis);
-            let deg = if degraded {
-                self.degrade_kind(seg.kind, t)
-            } else {
-                None
-            };
-            let x = ((u - QUEUE_ONSET) / 0.55).clamp(0.0, 1.0);
-            let q = seg.q_max * x * x * x;
-            queue += match deg {
-                None => q,
-                Some((_, _, delay)) => q + delay,
-            };
+            queue += self.queue_term(seg, &basis, t, degraded);
         }
         queue
+    }
+
+    /// One segment's queueing delay at `t`, ms, degradation delay
+    /// included (matches `queue_ms` + degradation delay); `basis` is
+    /// the diurnal basis of `t` at the segment's UTC offset.
+    #[inline]
+    fn queue_term(
+        &self,
+        seg: &CompiledSeg,
+        basis: &DiurnalBasis,
+        t: SimTime,
+        degraded: bool,
+    ) -> f64 {
+        let u = self
+            .load
+            .utilization_with(seg.load_key, seg.congestion, basis);
+        let deg = if degraded {
+            self.degrade_kind(seg.kind, t)
+        } else {
+            None
+        };
+        let x = ((u - QUEUE_ONSET) / 0.55).clamp(0.0, 1.0);
+        let q = seg.q_max * x * x * x;
+        match deg {
+            None => q,
+            Some((_, _, delay)) => q + delay,
+        }
+    }
+
+    /// A [`QueueSeries`] over `instants`.
+    pub fn queue_series(&self, instants: Vec<SimTime>) -> QueueSeries<'_, 't> {
+        QueueSeries {
+            perf: self,
+            instants,
+            bases: Vec::new(),
+            rows: HashMap::new(),
+            terms: Vec::new(),
+            rev: Vec::new(),
+        }
     }
 
     /// [`Self::idle_rtt_ms`] over compiled paths — bit-identical (the
@@ -1083,6 +1222,94 @@ mod tests {
         assert_compiled_matches(&perf, &wide, &wide_rev);
         perf.set_degradations(Vec::new());
         assert_compiled_matches(&perf, &wide, &wide_rev);
+    }
+
+    /// Asserts that a [`QueueSeries`] over `instants` gives every pair
+    /// the bits of `idle_rtt_ms_eval` at every instant, and returns how
+    /// many distinct segments it computed.
+    fn assert_series_matches(
+        perf: &PerfModel<'_>,
+        pairs: &[(RouterPath, RouterPath)],
+        instants: &[SimTime],
+    ) -> u64 {
+        let mut series = perf.queue_series(instants.to_vec());
+        let mut rtts = Vec::new();
+        for (fwd, rev) in pairs {
+            let (cf, cr) = (perf.compile(fwd), perf.compile(rev));
+            series.idle_rtt_ms(&cf, &cr, &mut rtts);
+            assert_eq!(rtts.len(), instants.len());
+            for (&t, rtt) in instants.iter().zip(&rtts) {
+                assert_eq!(rtt.to_bits(), perf.idle_rtt_ms_eval(&cf, &cr, t).to_bits());
+            }
+        }
+        series.distinct_segments()
+    }
+
+    #[test]
+    fn queue_series_is_bitwise_identical_to_idle_rtt_eval() {
+        for seed in [21, 22] {
+            let topo = Topology::generate(TopologyConfig::tiny(seed));
+            let mut perf = PerfModel::new(&topo, LoadModel::new(seed ^ 0x5a));
+            let pairs = vantage_pairs(&topo, "The Dalles");
+            let instants: Vec<SimTime> = (0..40u64).map(|h| SimTime(h * 3600 + 17)).collect();
+            let queued = |perf: &PerfModel<'_>| -> usize {
+                let degraded = !perf.degradations.is_empty();
+                pairs
+                    .iter()
+                    .flat_map(|(f, r)| perf.compile(f).segs.into_iter().chain(perf.compile(r).segs))
+                    .filter(|s| !skips_queue(s, degraded))
+                    .count()
+            };
+
+            // Shared segments are computed once.
+            let distinct = assert_series_matches(&perf, &pairs, &instants);
+            assert!(
+                distinct > 0 && (distinct as usize) < queued(&perf),
+                "seed {seed}"
+            );
+
+            // Degraded cloud edges, over a window that covers part of
+            // the instants: idle edges now queue, and the memo keeps the
+            // degraded-edge rule.
+            let links: std::collections::BTreeSet<LinkId> = pairs
+                .iter()
+                .flat_map(|(f, r)| f.segments.iter().chain(&r.segments))
+                .filter_map(|s| match s.kind {
+                    SegmentKind::CloudEdge(l) => Some(l),
+                    _ => None,
+                })
+                .collect();
+            perf.set_degradations(
+                links
+                    .iter()
+                    .map(|&link| LinkDegradation {
+                        link,
+                        start_s: 10 * 3600,
+                        end_s: 25 * 3600,
+                        capacity_factor: 0.4,
+                        loss_floor: 0.01,
+                        added_delay_ms: 3.5,
+                    })
+                    .collect(),
+            );
+            let degraded = assert_series_matches(&perf, &pairs, &instants);
+            assert!(degraded > distinct, "seed {seed}: {degraded} vs {distinct}");
+
+            // Two cloud edges alike in all but the link they cross: only
+            // the degraded link adds delay, so the kind is part of the key.
+            let edge = pairs
+                .iter()
+                .flat_map(|(f, _)| &f.segments)
+                .find(|s| matches!(s.kind, SegmentKind::CloudEdge(_)))
+                .copied()
+                .expect("a cloud edge");
+            let mut twin = edge;
+            twin.kind = SegmentKind::CloudEdge(LinkId(u32::MAX));
+            let (mut fwd, mut rev) = pairs[0].clone();
+            fwd.segments = vec![edge, twin];
+            rev.segments.clear();
+            assert_eq!(assert_series_matches(&perf, &[(fwd, rev)], &instants), 2);
+        }
     }
 
     #[test]

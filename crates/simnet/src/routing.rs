@@ -397,7 +397,7 @@ pub enum Direction {
 }
 
 /// What a path segment physically is; determines its load profile anchor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegmentKind {
     /// Intra-region cloud fabric.
     CloudFabric,

@@ -72,7 +72,9 @@ impl VantageSet {
     /// `visit(vp, tier, rtts_ms)` receives each (VP, tier)'s round-trip
     /// times in probe order, VP by VP with premium first; a (VP, tier)
     /// without a route in both directions is skipped. The slice lives in
-    /// one buffer reused across calls.
+    /// one buffer reused across calls. Returns how many distinct path
+    /// segments had their queueing delay computed (see
+    /// [`simnet::perf::QueueSeries`]).
     #[allow(clippy::too_many_arguments)]
     pub fn probe_tiers(
         &self,
@@ -84,7 +86,14 @@ impl VantageSet {
         probes: u32,
         seed: u64,
         mut visit: impl FnMut(&VantagePoint, Tier, &[f64]),
-    ) {
+    ) -> u64 {
+        let instants = (0..probes)
+            .map(|k| start + (k as u64) * simnet::time::HOUR)
+            .collect();
+        // Every VP's path into the region crosses the same cloud and
+        // transit segments: their queueing delay at the probe instants
+        // is computed once for the whole call.
+        let mut queues = perf.queue_series(instants);
         let mut rtts: Vec<f64> = Vec::with_capacity(probes as usize);
         for vp in &self.vps {
             for tier in [Tier::Premium, Tier::Standard] {
@@ -110,23 +119,20 @@ impl VantageSet {
                 let (Some(fwd), Some(rev)) = (fwd, rev) else {
                     continue;
                 };
-                // Compile once per (VP, tier): the probes-many instants
-                // below then evaluate only the time-varying terms of the
-                // segments that can queue; compilation marks the rest
-                // idle. `idle_rtt_ms_eval` is bit-identical to
-                // `idle_rtt_ms`.
+                // Compiled paths mark the segments that never queue;
+                // `QueueSeries::idle_rtt_ms` is bit-identical to
+                // `idle_rtt_ms_eval`, and so to `idle_rtt_ms`.
                 let (cfwd, crev) = (perf.compile(&fwd), perf.compile(&rev));
-                rtts.clear();
-                rtts.extend((0..probes).map(|k| {
-                    let t = start + (k as u64) * simnet::time::HOUR;
+                queues.idle_rtt_ms(&cfwd, &crev, &mut rtts);
+                for (k, rtt) in rtts.iter_mut().enumerate() {
                     let jitter_h =
                         simnet::routing::load_key(b"vpjit", seed ^ vp.id as u64, k as u64);
-                    let jitter = (jitter_h >> 11) as f64 / (1u64 << 53) as f64 * 2.2;
-                    perf.idle_rtt_ms_eval(&cfwd, &crev, t) + jitter
-                }));
+                    *rtt += (jitter_h >> 11) as f64 / (1u64 << 53) as f64 * 2.2;
+                }
                 visit(vp, tier, &rtts);
             }
         }
+        queues.distinct_segments()
     }
 }
 

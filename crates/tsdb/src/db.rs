@@ -104,9 +104,10 @@ pub struct Series {
     pub tags: BTreeMap<String, String>,
     /// Interned canonical series key (built once, at registration).
     key: String,
-    /// No part of the key needs a protocol escape, so the key is also the
-    /// series' line-protocol head and a head byte-equal to it decodes to
-    /// exactly this measurement and tag set (see [`Db::ingest_lines`]).
+    /// No part of the key needs a protocol escape and no name is empty,
+    /// so the key is also the series' line-protocol head and a head
+    /// byte-equal to it decodes to exactly this measurement and tag set
+    /// (see [`Db::ingest_lines`]).
     plain: bool,
     /// Time-ordered samples. Out-of-order inserts are re-sorted lazily.
     samples: Vec<Sample>,
@@ -122,10 +123,11 @@ pub struct Series {
 
 impl Series {
     fn new(measurement: String, tags: BTreeMap<String, String>, key: String) -> Self {
-        let plain = !line::needs_escape(&measurement)
+        let plain = !measurement.is_empty()
+            && !line::needs_escape(&measurement)
             && tags
                 .iter()
-                .all(|(k, v)| !line::needs_escape(k) && !line::needs_escape(v));
+                .all(|(k, v)| !k.is_empty() && !line::needs_escape(k) && !line::needs_escape(v));
         Self {
             measurement,
             tags,
@@ -1237,6 +1239,30 @@ mod tests {
         // One interned schema serves both series.
         let names: Vec<_> = db.series.iter().map(|s| s.schemas.len()).collect();
         assert_eq!(names, vec![1, 1]);
+    }
+
+    #[test]
+    fn empty_names_are_rejected_at_ingest() {
+        // An empty measurement or key fails the object like `decode`
+        // does, even when a series of that key exists already.
+        let mut db = Db::new();
+        db.insert(Point::from_parts(
+            String::new(),
+            [("a".to_string(), "b".to_string())].into(),
+            [("f".to_string(), 1.0)].into(),
+            0,
+        ));
+        for (text, want) in [
+            (",a=b f=1 0", ParseError::EmptyMeasurement),
+            ("m,=v f=1 0", ParseError::EmptyKey("=v".into())),
+            ("m =1 0", ParseError::EmptyKey("=1".into())),
+            ("m f=1,=2 0", ParseError::EmptyKey("=2".into())),
+        ] {
+            let text = format!("{CAMPAIGN_LINE}\n{text}");
+            let before = (db.series_count(), db.points_written, db.stats);
+            assert_eq!(db.ingest_lines(&text), Err((2, want)), "{text:?}");
+            assert_eq!((db.series_count(), db.points_written, db.stats), before);
+        }
     }
 
     #[test]

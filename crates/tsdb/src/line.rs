@@ -123,6 +123,10 @@ pub enum ParseError {
     BadTimestamp(String),
     /// The field set was empty.
     NoFields,
+    /// The measurement name was empty.
+    EmptyMeasurement,
+    /// A tag or field key was empty (the pair is given).
+    EmptyKey(String),
 }
 
 impl std::fmt::Display for ParseError {
@@ -133,6 +137,8 @@ impl std::fmt::Display for ParseError {
             ParseError::BadNumber(s) => write!(f, "bad numeric value: {s}"),
             ParseError::BadTimestamp(s) => write!(f, "bad timestamp: {s}"),
             ParseError::NoFields => write!(f, "no fields"),
+            ParseError::EmptyMeasurement => write!(f, "empty measurement name"),
+            ParseError::EmptyKey(s) => write!(f, "empty key in pair: {s}"),
         }
     }
 }
@@ -175,17 +181,27 @@ fn split_pair(kv: &str) -> Option<(&str, &str)> {
     kv.split_once('=').filter(|(_, v)| !v.contains('='))
 }
 
-/// Visits the pairs of an escape-free `k=v,k=v,...` list whose keys
-/// strictly ascend: the order a `BTreeMap` of them iterates in, with no
-/// key twice. `None` as soon as a pair is malformed, out of order or
-/// refused by `f`.
+/// [`split_pair`] for [`decode`]: a malformed pair or an empty key is
+/// its error.
+fn decode_pair(kv: &str) -> Result<(&str, &str), ParseError> {
+    match split_pair(kv) {
+        None => Err(ParseError::BadKeyValue(kv.to_string())),
+        Some(("", _)) => Err(ParseError::EmptyKey(kv.to_string())),
+        Some(pair) => Ok(pair),
+    }
+}
+
+/// Visits the pairs of an escape-free `k=v,k=v,...` list whose keys are
+/// non-empty and strictly ascend: the order a `BTreeMap` of them
+/// iterates in, with no key twice. `None` as soon as a pair is
+/// malformed, out of order or refused by `f`.
 pub(crate) fn for_each_ascending_pair<'a>(
     list: &'a str,
     mut f: impl FnMut(&'a str, &'a str) -> Option<()>,
 ) -> Option<()> {
     let mut last: Option<&str> = None;
     for kv in list.split(',') {
-        let (k, v) = split_pair(kv)?;
+        let (k, v) = split_pair(kv).filter(|(k, _)| !k.is_empty())?;
         if last.is_some_and(|l| l >= k) {
             return None;
         }
@@ -234,18 +250,17 @@ fn decode_unescaped(line: &str) -> Result<Point, ParseError> {
     };
     let mut head_parts = head.split(',');
     let measurement = head_parts.next().unwrap_or_default(); // split yields ≥1 part
+    if measurement.is_empty() {
+        return Err(ParseError::EmptyMeasurement);
+    }
     let mut tags = BTreeMap::new();
     for kv in head_parts {
-        let Some((k, v)) = split_pair(kv) else {
-            return Err(ParseError::BadKeyValue(kv.to_string()));
-        };
+        let (k, v) = decode_pair(kv)?;
         tags.insert(k.to_string(), v.to_string());
     }
     let mut fields = BTreeMap::new();
     for kv in field_sec.split(',') {
-        let Some((k, v)) = split_pair(kv) else {
-            return Err(ParseError::BadKeyValue(kv.to_string()));
-        };
+        let (k, v) = decode_pair(kv)?;
         fields.insert(k.to_string(), parse_value(v)?);
     }
     if fields.is_empty() {
@@ -277,15 +292,18 @@ fn decode_escaped(line: &str) -> Result<Point, ParseError> {
     };
     let mut head = split_unescaped(&head_sec, ',').into_iter();
     let measurement = unescape(&head.next().unwrap_or_default()); // split yields ≥1 part
+    if measurement.is_empty() {
+        return Err(ParseError::EmptyMeasurement);
+    }
     let mut tags = BTreeMap::new();
     for kv in head {
         let (k, v) = escaped_pair(&kv)?;
-        tags.insert(unescape(&k), unescape(&v));
+        tags.insert(k, unescape(&v));
     }
     let mut fields = BTreeMap::new();
     for kv in split_unescaped(&field_sec, ',') {
         let (k, v) = escaped_pair(&kv)?;
-        fields.insert(unescape(&k), parse_value(&v)?);
+        fields.insert(k, parse_value(&v)?);
     }
     if fields.is_empty() {
         return Err(ParseError::NoFields);
@@ -296,13 +314,18 @@ fn decode_escaped(line: &str) -> Result<Point, ParseError> {
     Ok(Point::from_parts(measurement, tags, fields, time))
 }
 
-/// Splits an escaped `key=value` pair on its one unescaped `=`. Both
-/// halves come back still escaped.
+/// Splits an escaped `key=value` pair on its one unescaped `=`. The key
+/// comes back unescaped (and must not be empty), the value still
+/// escaped.
 fn escaped_pair(kv: &str) -> Result<(String, String), ParseError> {
     let mut pair = split_unescaped(kv, '=').into_iter();
     let (Some(k), Some(v), None) = (pair.next(), pair.next(), pair.next()) else {
         return Err(ParseError::BadKeyValue(kv.to_string()));
     };
+    let k = unescape(&k);
+    if k.is_empty() {
+        return Err(ParseError::EmptyKey(kv.to_string()));
+    }
     Ok((k, v))
 }
 
@@ -391,6 +414,35 @@ mod tests {
             decode("m,oops f=1 0"),
             Err(ParseError::BadKeyValue(_))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_empty_names() {
+        // InfluxDB refuses an empty measurement, tag key or field key;
+        // so do both decoders, with a typed error.
+        let cases = [
+            (",a=b f=1 0", ParseError::EmptyMeasurement),
+            (" f=1 0", ParseError::MissingSection),
+            ("m,=v f=1 0", ParseError::EmptyKey("=v".into())),
+            ("m,a=b,=v f=1 0", ParseError::EmptyKey("=v".into())),
+            ("m =1 0", ParseError::EmptyKey("=1".into())),
+            ("m f=1,=2 0", ParseError::EmptyKey("=2".into())),
+            ("m,=v =1 0", ParseError::EmptyKey("=v".into())),
+        ];
+        for (line, want) in cases {
+            assert_eq!(decode(line), Err(want.clone()), "{line:?}");
+            assert_eq!(decode_escaped(line.trim()), Err(want), "escaped {line:?}");
+        }
+        // Escaped forms: the names are empty once unescaped too, and a
+        // name that is only an escape is not empty.
+        assert_eq!(decode(r",a=b\  f=1 0"), Err(ParseError::EmptyMeasurement));
+        assert_eq!(
+            decode(r"m,=x\ y f=1 0"),
+            Err(ParseError::EmptyKey(r"=x\ y".into()))
+        );
+        assert_eq!(decode(r"\ ,\,=v \==1 0").unwrap().measurement, " ");
+        // An empty tag value is still a value.
+        assert_eq!(decode("m,a= f=1 0").unwrap().tags["a"], "");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! same `(line, ParseError)`, and leave the store untouched when it
 //! rejects an object. Inputs are campaign-written objects put through
 //! random mutations: truncation, byte flips, escapes, unsorted and
-//! duplicate keys, blank, CRLF and padded lines, non-finite numbers and
-//! garbage. No input may panic.
+//! duplicate keys, blank, CRLF and padded lines, non-finite numbers,
+//! empty names and garbage. No input may panic.
 
 use clasp_core::pipeline::upload_batch;
 use cloudsim::bucket::Bucket;
@@ -51,7 +51,7 @@ fn campaign_objects(rng: &mut SmallRng) -> Vec<String> {
     bucket
         .list("raw/")
         .into_iter()
-        .filter_map(|k| bucket.get(k).map(|o| o.data.clone()))
+        .filter_map(|k| bucket.get(k).map(|o| o.data.unpack()))
         .collect()
 }
 
@@ -71,7 +71,7 @@ fn mutate(rng: &mut SmallRng, lines: &mut Vec<String>) {
     }
     let i = rng.random_range(0..lines.len());
     let line = &mut lines[i];
-    match rng.random_range(0..13u32) {
+    match rng.random_range(0..14u32) {
         // Truncation.
         0 => {
             let at = boundary(rng, line);
@@ -187,6 +187,21 @@ fn mutate(rng: &mut SmallRng, lines: &mut Vec<String>) {
             let end = line.find([',', ' ']).unwrap_or(line.len());
             line.replace_range(..end, name);
         }
+        // An empty tag or field key (the measurement's turn is above).
+        12 => {
+            let mut sections: Vec<String> = line.split(' ').map(str::to_string).collect();
+            let s = rng.random_range(0..2usize).min(sections.len() - 1);
+            let mut parts: Vec<String> = sections[s].split(',').map(str::to_string).collect();
+            // The head's keys follow its measurement.
+            let first = usize::from(s == 0 && parts.len() > 1);
+            let j = rng.random_range(first..parts.len());
+            parts[j] = match parts[j].split_once('=') {
+                Some((_, v)) => format!("={v}"),
+                None => "=".to_string(),
+            };
+            sections[s] = parts.join(",");
+            *line = sections.join(" ");
+        }
         // A line that repeats another one (an existing series).
         _ => {
             let j = rng.random_range(0..lines.len());
@@ -244,6 +259,17 @@ fn check(objects: &[String]) -> Result<u64, TestCaseError> {
         prop_assert_eq!(fast.stats, reference.stats);
     }
     prop_assert_eq!(fingerprint(&mut fast), fingerprint(&mut reference));
+    for s in fast.snapshot().series() {
+        let fields_named = s
+            .samples()
+            .iter()
+            .all(|(_, f)| f.iter().all(|(n, _)| !n.is_empty()));
+        prop_assert!(
+            !s.measurement.is_empty() && !s.tags.contains_key("") && fields_named,
+            "a series with an empty name was stored: {:?}",
+            s.key()
+        );
+    }
     Ok(fallback)
 }
 

@@ -112,6 +112,9 @@ fn telemetry_identical_across_checkpoint_resume() {
         "prep.pilot_flows",
         "prep.pilot_paths",
         "prep.pretest_probes",
+        "prep.pretest_queue_series",
+        "ingest.raw_bytes",
+        "ingest.packed_bytes",
     ] {
         assert!(metrics.contains(counter), "{counter} missing after resume");
     }
@@ -217,5 +220,38 @@ fn observer_is_invisible_to_campaign_results() {
                 .map(|s| s.pretest_probes)
                 .sum()
         )
+    );
+    assert_eq!(
+        counter("prep.pretest_queue_series"),
+        Some(
+            observed
+                .diff_selections
+                .iter()
+                .map(|s| s.pretest_queue_series)
+                .sum()
+        )
+    );
+    // Ingest reads every raw object the last checkpoint holds: its text
+    // bytes, and fewer bytes packed.
+    let raw_text: u64 = plain
+        .checkpoints
+        .last()
+        .and_then(|c| c.get("raw"))
+        .and_then(|r| r.as_array())
+        .expect("raw section")
+        .iter()
+        .flat_map(|unit| {
+            unit.get("objects")
+                .and_then(|o| o.as_array())
+                .expect("objects")
+        })
+        .map(|obj| obj.get("data").and_then(|d| d.text()).expect("data").len() as u64)
+        .sum();
+    assert!(raw_text > 0);
+    assert_eq!(counter("ingest.raw_bytes"), Some(raw_text));
+    let packed = counter("ingest.packed_bytes").expect("packed bytes counted");
+    assert!(
+        packed > 0 && packed * 2 < raw_text,
+        "{packed} of {raw_text}"
     );
 }
