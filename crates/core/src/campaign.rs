@@ -1839,6 +1839,34 @@ mod tests {
                 drop(m.remove("uploaded"))
             }),
         ));
+        // The fault log's numbers are required too: a faulted run's
+        // checkpoint loses one field of its first fault with each outcome.
+        let mut cfg = CampaignConfig::small(121);
+        cfg.fault_plan = FaultPlan::uniform(7, 0.02);
+        let faulted = Campaign::new(&world, cfg);
+        let ftext =
+            serde_json::to_string(faulted.runner().run().unwrap().checkpoints.last().unwrap());
+        let fdoc = serde_json::from_str(&ftext).unwrap();
+        let first = |outcome: &str| {
+            let faults = fdoc.get("fault_log").and_then(|v| v.as_array()).unwrap();
+            let i = faults
+                .iter()
+                .position(|f| f.get("outcome").and_then(|v| v.as_str()) == Some(outcome))
+                .unwrap_or_else(|| panic!("no {outcome} fault"));
+            i.to_string()
+        };
+        for (field, outcome) in [
+            ("time", "recovered"),
+            ("retries", "recovered"),
+            ("recovered_at", "recovered"),
+            ("s_hours", "lost"),
+        ] {
+            let at = first(outcome);
+            cases.push((
+                field,
+                edited(&ftext, &["fault_log", &at], |m| drop(m.remove(field))),
+            ));
+        }
         for (field, ckpt) in &cases {
             let err = campaign.runner().resume_from(ckpt).run().err();
             assert!(err.is_some(), "a checkpoint without {field} resumed");

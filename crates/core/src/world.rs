@@ -143,6 +143,42 @@ mod tests {
         assert!(path.is_some());
     }
 
+    /// Fingerprint of a canonical dump of a generated world: FNV-1a over
+    /// the `Debug` form of its ASes, edges, adjacency, links, cloud PoPs
+    /// and crawled servers. `Debug` prints every field, in declaration
+    /// order, and an `f64` as the shortest string that parses back to the
+    /// same bits, so a change to any generated value changes the hash.
+    fn world_fingerprint(w: &World) -> u64 {
+        let t = &w.topo;
+        faultsim::name_key(&format!(
+            "{:?}{:?}{:?}{:?}{:?}{:?}",
+            t.ases, t.edges, t.adjacency, t.links, t.cloud_pops, w.registry.servers
+        ))
+    }
+
+    #[test]
+    fn generated_worlds_are_pinned() {
+        // The world is the substrate of every figure, so generation is
+        // pinned byte for byte: a change to `Topology::generate` or the
+        // crawl that moves any AS, edge, link, PoP or server fails here.
+        // The paper seed at full scale, the tiny scale at two seeds, and
+        // a non-GCP provider, whose region cities override the PoP list.
+        let nimbus = ProviderProfile::nimbus().clone();
+        let cases = [
+            ("paper", World::new(DEFAULT_SEED), 0xd629_8b17_3a9d_183a),
+            ("tiny 5", World::tiny(5), 0xbb84_8766_11ef_876d),
+            ("tiny 11", World::tiny(11), 0x3a92_7826_8638_2bca),
+            (
+                "nimbus tiny 3",
+                World::tiny_for_provider(nimbus, 3),
+                0xd69a_aea0_b327_7f91,
+            ),
+        ];
+        for (name, world, pinned) in &cases {
+            assert_eq!(world_fingerprint(world), *pinned, "{name}");
+        }
+    }
+
     #[test]
     fn registry_and_p2a_agree_on_server_asns() {
         let w = World::tiny(7);

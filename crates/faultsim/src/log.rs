@@ -216,23 +216,29 @@ impl FaultLog {
                     .map(String::from)
                     .ok_or_else(|| format!("fault {id} missing {k:?}"))
             };
+            let n = |k: &str| {
+                f.get(k)
+                    .and_then(|v| v.as_u64())
+                    .ok_or_else(|| format!("fault {id} missing {k:?}"))
+            };
             let kind_name = s("kind")?;
             let kind = FaultKind::parse(&kind_name)
                 .ok_or_else(|| format!("unknown fault kind {kind_name:?}"))?;
             let outcome = match s("outcome")?.as_str() {
                 "unhandled" => FaultOutcome::Unhandled,
                 "recovered" => FaultOutcome::Recovered {
-                    retries: f.get("retries").and_then(|v| v.as_u64()).unwrap_or(0) as u32,
-                    recovered_at: f.get("recovered_at").and_then(|v| v.as_u64()).unwrap_or(0),
+                    retries: u32::try_from(n("retries")?)
+                        .map_err(|_| format!("fault {id} \"retries\" exceeds u32"))?,
+                    recovered_at: n("recovered_at")?,
                 },
                 "lost" => FaultOutcome::Lost {
-                    s_hours: f.get("s_hours").and_then(|v| v.as_u64()).unwrap_or(0),
+                    s_hours: n("s_hours")?,
                 },
                 other => return Err(format!("unknown outcome {other:?}")),
             };
             log.faults.push(InjectedFault {
                 id,
-                time: f.get("time").and_then(|v| v.as_u64()).unwrap_or(0),
+                time: n("time")?,
                 kind,
                 region: s("region")?,
                 vm: s("vm")?,
@@ -305,6 +311,32 @@ mod tests {
         log.record(30, FaultKind::CronSkew, "r", "vm", "late");
         let back = FaultLog::from_json(&log.to_json()).unwrap();
         assert_eq!(log, back);
+    }
+
+    #[test]
+    fn retries_beyond_u32_are_rejected() {
+        let mut log = FaultLog::new();
+        let a = log.record(10, FaultKind::CronMiss, "r", "vm", "tick");
+        log.mark_recovered(a, 1, 70);
+        let with_retries = |retries: u64| {
+            let mut json = log.to_json();
+            if let serde_json::Value::Array(faults) = &mut json {
+                if let serde_json::Value::Object(m) = &mut faults[0] {
+                    m.insert("retries".into(), retries.into());
+                }
+            }
+            FaultLog::from_json(&json)
+        };
+        let max = with_retries(u64::from(u32::MAX)).unwrap();
+        assert!(matches!(
+            max.faults()[0].outcome,
+            FaultOutcome::Recovered {
+                retries: u32::MAX,
+                ..
+            }
+        ));
+        let err = with_retries(u64::from(u32::MAX) + 1).unwrap_err();
+        assert!(err.contains("fault 0") && err.contains("retries"), "{err}");
     }
 
     #[test]

@@ -833,22 +833,36 @@ impl Topology {
             .chain((leaf_start..ases.len()).map(|i| AsId(i as u32)))
             .collect();
         // Leaves buy transit locally: an Indian ISP buys from a provider
-        // with Indian presence, not from a random US regional. Sort the
-        // transit pool by distance to each leaf and pick among the
-        // nearest few.
+        // with Indian presence, not from a random US regional. Rank the
+        // transit pool by distance to the leaf's home city and pick among
+        // the nearest few.
+        //
+        // The ranking depends on the home city alone, and no transit's
+        // city list changes from here on (`add_edge` only adds
+        // relationships), so every city is ranked once, up front, into a
+        // `Vec` indexed by `CityId`. The stable sort keeps ties in
+        // `transit_ids` order.
+        let near_transits_of: Vec<Vec<AsId>> = cities
+            .ids()
+            .map(|home| {
+                let here = cities.get(home).location;
+                let mut keyed: Vec<(f64, AsId)> = transit_ids
+                    .iter()
+                    .map(|&t| {
+                        let d = ases[t.0 as usize]
+                            .cities
+                            .iter()
+                            .map(|c| cities.get(*c).location.distance_km(&here))
+                            .fold(f64::INFINITY, f64::min);
+                        (d, t)
+                    })
+                    .collect();
+                keyed.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite"));
+                keyed.into_iter().map(|(_, t)| t).collect()
+            })
+            .collect();
         for &leaf in &all_leaves {
-            let leaf_home = cities.get(ases[leaf.0 as usize].home_city).location;
-            let mut near_transits: Vec<AsId> = transit_ids.clone();
-            near_transits.sort_by(|x, y| {
-                let d = |t: &AsId| {
-                    ases[t.0 as usize]
-                        .cities
-                        .iter()
-                        .map(|c| cities.get(*c).location.distance_km(&leaf_home))
-                        .fold(f64::INFINITY, f64::min)
-                };
-                d(x).partial_cmp(&d(y)).expect("finite")
-            });
+            let near_transits = &near_transits_of[ases[leaf.0 as usize].home_city.0 as usize];
             let n_up = 1 + usize::from(rng.random::<f64>() < 0.35);
             for _ in 0..n_up {
                 let use_tier1 = rng.random::<f64>() < 0.12;
