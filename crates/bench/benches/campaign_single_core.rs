@@ -11,9 +11,10 @@
 //! baseline in `benchdata/` with `clasp bench-trend`.
 //!
 //! Determinism tripwire: the final checkpoint must be byte-identical
-//! across reps and is fingerprinted into the summary, so a perf change
-//! that perturbs campaign output fails here before the equivalence
-//! suites even run.
+//! across reps and is fingerprinted into the summary, and `clasp
+//! bench-trend --check` fails when that fingerprint differs from the
+//! baseline's, so a perf change that perturbs campaign output fails the
+//! gate before the equivalence suites even run.
 //!
 //! ```text
 //! cargo bench -p clasp-bench --bench campaign_single_core            # measure
@@ -46,9 +47,12 @@ struct Rep {
 
 fn run_rep() -> Rep {
     let obs = Observer::new();
+    // The shared world is built on first use; build it before the timer
+    // so that rep 0 times the campaign alone.
+    let world = world();
     let t = Instant::now();
     let result = black_box(
-        Campaign::new(world(), pinned_cfg())
+        Campaign::new(world, pinned_cfg())
             .runner()
             .observer(&obs)
             .run()

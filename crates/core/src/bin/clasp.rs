@@ -123,10 +123,61 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A bench summary's total p50, NaN when missing.
+fn total_p50(v: &serde_json::Value) -> f64 {
+    v.get("total")
+        .and_then(|t| t.get("p50_secs"))
+        .and_then(|x| x.as_f64())
+        .unwrap_or(f64::NAN)
+}
+
+/// The `--check` verdict on a current bench summary against the
+/// baseline. It fails when the total p50 exceeds the baseline's by more
+/// than `max_regress`, and when the current run's `checkpoint_fnv` is
+/// missing or differs from the baseline's: a run that produced other
+/// bytes measured other work, so its time proves nothing.
+fn check_verdict(
+    baseline: &serde_json::Value,
+    current: &serde_json::Value,
+    max_regress: f64,
+) -> Result<String, String> {
+    let fnv = |v: &serde_json::Value| {
+        v.get("checkpoint_fnv")
+            .and_then(|f| f.as_str())
+            .map(str::to_string)
+    };
+    match (fnv(baseline), fnv(current)) {
+        (Some(b), Some(c)) if b == c => {}
+        (b, c) => {
+            let show = |f: Option<String>| f.unwrap_or_else(|| "(missing)".into());
+            return Err(format!(
+                "OUTPUT CHANGED: checkpoint_fnv {} differs from baseline {}",
+                show(c),
+                show(b)
+            ));
+        }
+    }
+    let (base, cur) = (total_p50(baseline), total_p50(current));
+    let limit = base * (1.0 + max_regress);
+    // NaN (missing/corrupt summary) must fail the gate, not pass it.
+    if cur.is_nan() || limit.is_nan() || cur > limit {
+        return Err(format!(
+            "REGRESSION: total p50 {cur:.3}s exceeds baseline {base:.3}s by more \
+             than {:.0}% (limit {limit:.3}s)",
+            max_regress * 100.0
+        ));
+    }
+    Ok(format!(
+        "total p50 {cur:.3}s within {:.0}% of baseline {base:.3}s, same checkpoint_fnv",
+        max_regress * 100.0
+    ))
+}
+
 /// Compares the latest `campaign_single_core` bench summary against the
 /// committed baseline and maintains the append-only trend log the perf
 /// gate reads. `--check` exits non-zero when the total p50 regresses
-/// past `--max-regress` (default 0.15 = 15%); `--record` appends the
+/// past `--max-regress` (default 0.15 = 15%) or the checkpoint
+/// fingerprint differs from the baseline's; `--record` appends the
 /// current summary to the trend log.
 fn bench_trend(args: &[String]) -> ! {
     let baseline_path = arg_str(
@@ -159,12 +210,6 @@ fn bench_trend(args: &[String]) -> ! {
     };
     let baseline = load(&baseline_path);
     let current = load(&current_path);
-    let total_p50 = |v: &serde_json::Value| {
-        v.get("total")
-            .and_then(|t| t.get("p50_secs"))
-            .and_then(|x| x.as_f64())
-            .unwrap_or(f64::NAN)
-    };
     let stage_p50 = |v: &serde_json::Value, name: &str| -> Option<f64> {
         v.get("stages")?
             .as_array()?
@@ -252,20 +297,13 @@ fn bench_trend(args: &[String]) -> ! {
     }
 
     if check {
-        let limit = base * (1.0 + max_regress);
-        // NaN (missing/corrupt summary) must fail the gate, not pass it.
-        if cur.is_nan() || limit.is_nan() || cur > limit {
-            eprintln!(
-                "bench-trend: REGRESSION: total p50 {cur:.3}s exceeds \
-                 baseline {base:.3}s by more than {:.0}% (limit {limit:.3}s)",
-                max_regress * 100.0
-            );
-            std::process::exit(1);
+        match check_verdict(&baseline, &current, max_regress) {
+            Ok(msg) => println!("bench-trend: ok: {msg}"),
+            Err(msg) => {
+                eprintln!("bench-trend: {msg}");
+                std::process::exit(1);
+            }
         }
-        println!(
-            "bench-trend: ok: total p50 {cur:.3}s within {:.0}% of baseline {base:.3}s",
-            max_regress * 100.0
-        );
     }
     std::process::exit(0);
 }
@@ -346,6 +384,69 @@ fn load_fault_profile(spec: &str) -> faultsim::FaultPlan {
     }
 }
 
+/// Runs the diag suite, which builds its own worlds: localization and
+/// mitigation ranking over seeded congestion scenarios, with optional
+/// quality floors for CI.
+fn diag_cmd(args: &[String], seed: u64, jobs: usize, threshold: f64) -> ! {
+    let mut cfg = clasp_core::diag::DiagConfig::new(seed);
+    cfg.scenarios = arg_u64(args, "--scenarios", cfg.scenarios);
+    cfg.days = arg_u64(args, "--days", cfg.days);
+    cfg.budget = arg_u64(args, "--budget", cfg.budget as u64) as usize;
+    cfg.jobs = jobs.max(1);
+    cfg.threshold = threshold;
+    let metrics_path = arg_opt(args, "--metrics");
+    let trace_path = arg_opt(args, "--trace");
+    let observed = metrics_path.is_some() || trace_path.is_some();
+    let obs = Observer::new();
+    let report = clasp_core::diag::run_suite(&cfg, observed.then_some(&obs));
+    if args.iter().any(|a| a == "--json") {
+        println!("{}", serde_json::to_string(&report.to_json()));
+    } else {
+        print!("{}", report.render());
+    }
+    write_telemetry(&obs, metrics_path.as_deref(), trace_path.as_deref());
+    // CI regression gates: fail the run when the diagnosis
+    // quality drops below the recorded floors.
+    let min_top1 = arg_f64(args, "--min-top1", 0.0);
+    let min_agreement = arg_f64(args, "--min-agreement", 0.0);
+    if report.top1_rate() < min_top1 {
+        eprintln!(
+            "diag: top-1 localization rate {:.2} below floor {min_top1:.2}",
+            report.top1_rate()
+        );
+        std::process::exit(1);
+    }
+    if report.mitigation_agreement() < min_agreement {
+        eprintln!(
+            "diag: mitigation agreement {:.2} below floor {min_agreement:.2}",
+            report.mitigation_agreement()
+        );
+        std::process::exit(1);
+    }
+    std::process::exit(0);
+}
+
+/// Prints a billing forecast for `budget` servers over `days` days; it
+/// needs no world.
+fn bill_cmd(budget: usize, days: u64) -> ! {
+    let mut billing = cloudsim::billing::Billing::new();
+    let vms = budget.div_ceil(17) as f64;
+    billing.record_vm_hours(
+        cloudsim::vm::MachineType::N1Standard2,
+        vms * days as f64 * 24.0,
+    );
+    let per_test_up = 100.0 / 8.0 * 15.0 * 1e6;
+    let egress = (vms * days as f64 * 24.0 * 17.0 * per_test_up) as u64;
+    billing.record_transfer(true, egress, egress * 4);
+    println!(
+        "forecast for {budget} servers over {days} days: {:.0} USD ({:.0} VM, {:.0} egress)",
+        billing.total_usd(),
+        billing.vm_usd(),
+        billing.egress_usd()
+    );
+    std::process::exit(0);
+}
+
 /// Runs a CloudCast-style cross-cloud campaign over a multi-provider
 /// world: `--world` takes a built-in spec name (`duo`, `trio`) or a
 /// path to a world JSON (see `WorldSpec::to_json` for the schema).
@@ -410,6 +511,13 @@ fn main() {
     if cmd == "crosscloud" {
         // Multi-provider worlds are constructed by the subcommand itself.
         crosscloud_cmd(&args, seed, jobs);
+    }
+    if cmd == "diag" {
+        // The suite builds its own scenario worlds.
+        diag_cmd(&args, seed, jobs, threshold);
+    }
+    if cmd == "bill" {
+        bill_cmd(budget, days);
     }
 
     let provider = cloudsim::provider::ProviderProfile::builtin(&provider_name)
@@ -884,60 +992,39 @@ fn main() {
                 }
             }
         }
-        "diag" => {
-            let mut cfg = clasp_core::diag::DiagConfig::new(seed);
-            cfg.scenarios = arg_u64(&args, "--scenarios", cfg.scenarios);
-            cfg.days = arg_u64(&args, "--days", cfg.days);
-            cfg.budget = arg_u64(&args, "--budget", cfg.budget as u64) as usize;
-            cfg.jobs = jobs.max(1);
-            cfg.threshold = threshold;
-            let metrics_path = arg_opt(&args, "--metrics");
-            let trace_path = arg_opt(&args, "--trace");
-            let observed = metrics_path.is_some() || trace_path.is_some();
-            let obs = Observer::new();
-            let report = clasp_core::diag::run_suite(&cfg, observed.then_some(&obs));
-            if args.iter().any(|a| a == "--json") {
-                println!("{}", serde_json::to_string(&report.to_json()));
-            } else {
-                print!("{}", report.render());
-            }
-            write_telemetry(&obs, metrics_path.as_deref(), trace_path.as_deref());
-            // CI regression gates: fail the run when the diagnosis
-            // quality drops below the recorded floors.
-            let min_top1 = arg_f64(&args, "--min-top1", 0.0);
-            let min_agreement = arg_f64(&args, "--min-agreement", 0.0);
-            if report.top1_rate() < min_top1 {
-                eprintln!(
-                    "diag: top-1 localization rate {:.2} below floor {min_top1:.2}",
-                    report.top1_rate()
-                );
-                std::process::exit(1);
-            }
-            if report.mitigation_agreement() < min_agreement {
-                eprintln!(
-                    "diag: mitigation agreement {:.2} below floor {min_agreement:.2}",
-                    report.mitigation_agreement()
-                );
-                std::process::exit(1);
-            }
-        }
-        "bill" => {
-            let mut billing = cloudsim::billing::Billing::new();
-            let vms = budget.div_ceil(17) as f64;
-            billing.record_vm_hours(
-                cloudsim::vm::MachineType::N1Standard2,
-                vms * days as f64 * 24.0,
-            );
-            let per_test_up = 100.0 / 8.0 * 15.0 * 1e6;
-            let egress = (vms * days as f64 * 24.0 * 17.0 * per_test_up) as u64;
-            billing.record_transfer(true, egress, egress * 4);
-            println!(
-                "forecast for {budget} servers over {days} days: {:.0} USD ({:.0} VM, {:.0} egress)",
-                billing.total_usd(),
-                billing.vm_usd(),
-                billing.egress_usd()
-            );
-        }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_verdict;
+
+    fn summary(fnv: Option<&str>, p50: f64) -> serde_json::Value {
+        let fnv = fnv.map_or(String::new(), |f| format!(r#""checkpoint_fnv":"{f}","#));
+        serde_json::from_str(&format!(r#"{{{fnv}"total":{{"p50_secs":{p50}}}}}"#)).unwrap()
+    }
+
+    #[test]
+    fn check_passes_on_same_output_within_the_limit() {
+        let base = summary(Some("33c0b3621c5ec753"), 0.280);
+        assert!(check_verdict(&base, &summary(Some("33c0b3621c5ec753"), 0.300), 0.15).is_ok());
+        assert!(check_verdict(&base, &summary(Some("33c0b3621c5ec753"), 0.330), 0.15).is_err());
+    }
+
+    #[test]
+    fn check_fails_when_the_checkpoint_fingerprint_differs() {
+        let base = summary(Some("33c0b3621c5ec753"), 0.280);
+        let err = check_verdict(&base, &summary(Some("0000000000000001"), 0.100), 0.15);
+        assert!(err.unwrap_err().contains("0000000000000001"));
+    }
+
+    #[test]
+    fn check_fails_when_the_checkpoint_fingerprint_is_missing() {
+        let fast = summary(None, 0.100);
+        let base = summary(Some("33c0b3621c5ec753"), 0.280);
+        assert!(check_verdict(&base, &fast, 0.15).is_err());
+        assert!(check_verdict(&fast, &base, 0.15).is_err());
+        assert!(check_verdict(&fast, &fast, 0.15).is_err());
     }
 }

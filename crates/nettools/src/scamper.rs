@@ -10,10 +10,9 @@
 
 use crate::traceroute::{paris_responsive_ips, traceroute, TraceMode, Traceroute};
 use simnet::geo::CityId;
-use simnet::routing::{Direction, Paths, RouterPath, Tier};
-use simnet::topology::AsId;
+use simnet::routing::{Direction, Paths, Tier};
+use simnet::topology::{AsId, LinkId};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// A traceroute target.
 #[derive(Debug, Clone, Copy)]
@@ -90,9 +89,10 @@ impl Scamper {
     /// flows in [`TraceMode::Paris`]. No RTT jitter is drawn, so no seed
     /// is needed.
     ///
-    /// Paths are told apart by the shared-path memo's `Arc` identity: a
-    /// memo miss splits one path's flows over two visits with the same
-    /// hops, never merges two different paths.
+    /// A target's route is resolved once. Its flows differ only in the
+    /// border interface the ECMP hash puts them on, so they are grouped
+    /// by that interface and each distinct path is built once, then
+    /// dropped.
     #[allow(clippy::too_many_arguments)]
     pub fn paris_sweep(
         &self,
@@ -104,31 +104,33 @@ impl Scamper {
         flows_per_target: u64,
         mut visit: impl FnMut(&[Ipv4Addr], u32),
     ) {
-        let mut distinct: Vec<(Arc<RouterPath>, u32)> = Vec::new();
+        let mut distinct: Vec<(LinkId, u32)> = Vec::new();
         let mut ips: Vec<Ipv4Addr> = Vec::new();
         for (i, t) in targets.iter().enumerate() {
+            let Some(route) = paths.vm_host_route(
+                region_city,
+                vm_ip,
+                t.as_id,
+                t.city,
+                t.ip,
+                tier,
+                Direction::ToServer,
+            ) else {
+                continue;
+            };
             distinct.clear();
             for flow in 0..flows_per_target {
-                let Some(path) = paths.vm_host_path_flow_shared(
-                    region_city,
-                    vm_ip,
-                    t.as_id,
-                    t.city,
-                    t.ip,
-                    tier,
-                    Direction::ToServer,
-                    sweep_flow_id(i, flow),
-                ) else {
-                    continue;
-                };
-                match distinct.iter_mut().find(|(p, _)| Arc::ptr_eq(p, &path)) {
+                let link = route.flow_link(sweep_flow_id(i, flow));
+                match distinct.iter_mut().find(|(l, _)| *l == link) {
                     Some((_, flows)) => *flows += 1,
-                    None => distinct.push((path, 1)),
+                    None => distinct.push((link, 1)),
                 }
             }
-            for (path, flows) in &distinct {
-                paris_responsive_ips(path, t.ip, &mut ips);
-                visit(&ips, *flows);
+            for &(link, flows) in &distinct {
+                if let Some(path) = paths.path_via(&route, link) {
+                    paris_responsive_ips(&path, t.ip, &mut ips);
+                    visit(&ips, flows);
+                }
             }
         }
     }

@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simnet::geo::CityId;
 use simnet::routing::{Direction, Hop, Paths, RouterPath, Tier};
-use simnet::topology::AsId;
+use simnet::topology::{AsId, LinkId};
 use std::net::Ipv4Addr;
 
 /// Traceroute probing mode.
@@ -98,42 +98,38 @@ pub fn traceroute(
     let mut rng = SmallRng::seed_from_u64(probe_seed ^ flow_id);
     let mut hops: Vec<TraceHop> = Vec::new();
 
-    // In paris mode, one path resolution serves every TTL. In classic
-    // mode, each TTL re-resolves with a different flow id, so the ECMP
-    // choice (and hence the border interface) can flap between probes.
-    // Shared resolution: an ECMP sweep's flows mostly hash onto the same
-    // border link, so the memoised path is an `Arc` clone, not a build.
-    let resolve = |fid: u64| {
-        paths.vm_host_path_flow_shared(
-            region_city,
-            vm_ip,
-            dst_as,
-            dst_city,
-            dst_ip,
-            tier,
-            Direction::ToServer,
-            fid,
-        )
-    };
-    let paris_path = match mode {
-        TraceMode::Paris => Some(resolve(flow_id)?),
-        TraceMode::Classic => None,
-    };
-
-    // TTL 1 is the first hop after the VM.
-    let n_hops = match &paris_path {
-        Some(p) => p.hops.len(),
-        None => resolve(flow_id)?.hops.len(),
-    };
-    let hop_at = |ttl: usize| match &paris_path {
-        Some(p) => p.hops.get(ttl).copied(),
-        None => {
-            let path = resolve(flow_id.wrapping_add(ttl as u64))?;
-            // A re-resolved classic path can differ in length; clamp.
-            path.hops
-                .get(ttl.min(path.hops.len().saturating_sub(1)))
-                .copied()
+    // In paris mode, one path serves every TTL. In classic mode, each
+    // TTL re-hashes with a different flow id, so the ECMP choice (and
+    // hence the border interface) can flap between probes; the route is
+    // flow-independent, so each TTL only picks an interface, and the
+    // trace builds one path per distinct interface it sees.
+    let route = paths.vm_host_route(
+        region_city,
+        vm_ip,
+        dst_as,
+        dst_city,
+        dst_ip,
+        tier,
+        Direction::ToServer,
+    )?;
+    let first = route.flow_link(flow_id);
+    let first_path = paths.path_via(&route, first)?;
+    let n_hops = first_path.hops.len();
+    let mut per_link: Vec<(LinkId, RouterPath)> = vec![(first, first_path)];
+    let hop_at = |ttl: usize| {
+        let link = match mode {
+            TraceMode::Paris => first,
+            TraceMode::Classic => route.flow_link(flow_id.wrapping_add(ttl as u64)),
+        };
+        if !per_link.iter().any(|(l, _)| *l == link) {
+            per_link.push((link, paths.path_via(&route, link)?));
         }
+        let (_, path) = per_link.iter().find(|(l, _)| *l == link)?;
+        // A classic path over another interface can differ in length;
+        // clamp.
+        path.hops
+            .get(ttl.min(path.hops.len().saturating_sub(1)))
+            .copied()
     };
     let reached = probe_ttls(n_hops, dst_ip, hop_at, |ttl, hop, ip| {
         let jitter = rng.random::<f64>() * 1.4;
@@ -360,5 +356,37 @@ mod tests {
         .unwrap();
         let rtt = t.dst_rtt_ms().unwrap();
         assert!(rtt > 0.0 && rtt < 400.0, "rtt = {rtt}");
+    }
+
+    #[test]
+    fn traceroutes_are_pinned() {
+        // FNV-1a over the `Debug` dump of paris and classic traceroutes
+        // from two regions to every non-cloud AS, under both tiers, for
+        // four flow ids: every hop, silent marker and RTT bit is pinned.
+        let topo = setup();
+        let paths = Paths::new(&topo);
+        let mut dump = String::new();
+        for region in ["The Dalles", "St. Ghislain"] {
+            let region = topo.cities.by_name(region).unwrap();
+            let vm_ip = topo.vm_ip(region, 0);
+            for id in topo.non_cloud_ases() {
+                let city = topo.as_node(id).cities[0];
+                let ip = topo.host_ip(id, city, 0);
+                for tier in [Tier::Premium, Tier::Standard] {
+                    for mode in [TraceMode::Paris, TraceMode::Classic] {
+                        for flow in 0..4 {
+                            let t = traceroute(
+                                &paths, region, vm_ip, id, city, ip, tier, mode, flow, 5,
+                            );
+                            dump.push_str(&format!("{t:?}"));
+                        }
+                    }
+                }
+            }
+        }
+        let h = dump.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(h, 0x7512_0fcd_f42f_353c);
     }
 }

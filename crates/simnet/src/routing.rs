@@ -466,37 +466,58 @@ const HOP_PROCESS_MS: f64 = 0.08;
 /// Intra-metro hop latency, ms.
 const METRO_MS: f64 = 0.35;
 
-/// Key for the memoised router-path cache: every input of
-/// [`Paths::vm_host_path_flow`] except the flow id, plus the border
-/// link the flow hashed onto (the only flow-dependent choice).
-type PathKey = (u16, u32, u32, u16, u32, u8, u8, u32);
-
 /// Memoized ECMP interface sets: (neighbor, anchor city) → the parallel
 /// interfaces at the nearest PoP, or `None` when the pair has none.
 type EcmpCache = std::collections::HashMap<(u32, u16), Option<Arc<Vec<LinkId>>>>;
 
+/// The flow-independent part of a VM–host path: the endpoints, the AS
+/// path with the cloud's neighbour on it, and the parallel border
+/// interfaces at the PoP the tier policy anchors the crossing at. A flow
+/// id only picks one of those interfaces ([`Self::flow_link`]);
+/// [`Paths::path_via`] builds the router path over the picked one.
+#[derive(Debug, Clone)]
+pub struct HostRoute {
+    region_city: CityId,
+    vm_ip: Ipv4Addr,
+    host_as: AsId,
+    host_city: CityId,
+    host_ip: Ipv4Addr,
+    tier: Tier,
+    direction: Direction,
+    /// AS-level path, cloud first.
+    as_path: Vec<AsId>,
+    /// The cloud's neighbour on `as_path`.
+    neighbor: AsId,
+    /// Parallel interfaces to `neighbor` at the anchored PoP.
+    bundle: Arc<Vec<LinkId>>,
+}
+
+impl HostRoute {
+    /// The border interface the ECMP hash puts `flow_id` on: what
+    /// [`Paths::pick_link_with_flow`] picks for this route.
+    pub fn flow_link(&self, flow_id: u64) -> LinkId {
+        ecmp_pick(&self.bundle, self.neighbor, flow_id)
+    }
+}
+
 /// Path builder: combines AS routing, tier policy, and geography into
 /// router paths.
 ///
-/// Path construction is memoised: a paris-traceroute ECMP sweep probes
-/// the same destination with many flow ids, but the flow only selects
-/// among a handful of parallel border interfaces — every other hop and
-/// segment is a pure function of the endpoints. The caches below never
-/// change an output (they store pure-function results and are never
-/// iterated), they only skip recomputation.
+/// Each call builds its path afresh and keeps none. A paris-traceroute
+/// ECMP sweep probes one destination with many flow ids, but the flow
+/// only selects among a handful of parallel border interfaces, so a
+/// sweep resolves the [`HostRoute`] once and builds one path per
+/// distinct interface ([`Self::path_via`]). The caches below hold small
+/// pure functions of the topology that recur across destinations; they
+/// never change an output (they are never iterated), they only skip
+/// recomputation.
 pub struct Paths<'t> {
     routing: Routing<'t>,
     /// (neighbor, anchor city) → parallel interfaces at the nearest PoP.
     ecmp: RefCell<EcmpCache>,
     /// (neighbor, region city) → has a region-local interconnect.
     local: RefCell<std::collections::HashMap<(u32, u16), bool>>,
-    /// Fully built router paths, shared out as `Arc`.
-    built: RefCell<std::collections::HashMap<PathKey, Arc<RouterPath>>>,
 }
-
-/// Bound on the built-path cache; on overflow the whole cache is
-/// cleared (deterministic, and in practice never hit by a campaign).
-const PATH_CACHE_CAP: usize = 1 << 17;
 
 impl<'t> Paths<'t> {
     /// Creates a path builder.
@@ -505,7 +526,6 @@ impl<'t> Paths<'t> {
             routing: Routing::new(topo),
             ecmp: RefCell::new(std::collections::HashMap::new()),
             local: RefCell::new(std::collections::HashMap::new()),
-            built: RefCell::new(std::collections::HashMap::new()),
         }
     }
 
@@ -539,18 +559,7 @@ impl<'t> Paths<'t> {
         flow_id: u64,
     ) -> Option<LinkId> {
         let parallel = self.ecmp_bundle(neighbor, anchor_city)?;
-        // Per-prefix assignment is primary-heavy: the lowest interface of
-        // a bundle carries most prefixes (IGP prefers it), the rest take
-        // an overflow share. This is why the paper's 1,329 server traces
-        // touch only a few hundred of ~6k interfaces, while bdrmap's
-        // broad prefix sweeps still discover the parallel ones.
-        let h = load_key(b"ecmp", neighbor.0 as u64, flow_id);
-        let idx = if parallel.len() == 1 || h % 100 < 75 {
-            0
-        } else {
-            1 + ((h >> 8) % (parallel.len() as u64 - 1)) as usize
-        };
-        Some(parallel[idx])
+        Some(ecmp_pick(&parallel, neighbor, flow_id))
     }
 
     /// The parallel interfaces between the cloud and `neighbor` at the
@@ -708,7 +717,7 @@ impl<'t> Paths<'t> {
         direction: Direction,
         flow_id: u64,
     ) -> Option<RouterPath> {
-        self.vm_host_path_flow_shared(
+        let route = self.vm_host_route(
             region_city,
             vm_ip,
             host_as,
@@ -716,17 +725,16 @@ impl<'t> Paths<'t> {
             host_ip,
             tier,
             direction,
-            flow_id,
-        )
-        .map(|p| (*p).clone())
+        )?;
+        self.path_via(&route, route.flow_link(flow_id))
     }
 
-    /// [`Self::vm_host_path_flow`] returning a shared, memoised path.
-    /// The flow id only selects the border interface; the remainder of
-    /// the path is a pure function of the endpoints, so sweeps over many
-    /// flow ids (ECMP discovery) collapse onto a few cached builds.
+    /// The flow-independent part of [`Self::vm_host_path_flow`]: the AS
+    /// path under `tier` and the parallel border interfaces the crossing
+    /// is anchored at. `None` exactly when every flow's path is `None`
+    /// for want of a route or an interface.
     #[allow(clippy::too_many_arguments)]
-    pub fn vm_host_path_flow_shared(
+    pub fn vm_host_route(
         &self,
         region_city: CityId,
         vm_ip: Ipv4Addr,
@@ -735,8 +743,7 @@ impl<'t> Paths<'t> {
         host_ip: Ipv4Addr,
         tier: Tier,
         direction: Direction,
-        flow_id: u64,
-    ) -> Option<Arc<RouterPath>> {
+    ) -> Option<HostRoute> {
         let topo = self.topology();
         let cloud = topo.cloud;
 
@@ -786,37 +793,48 @@ impl<'t> Paths<'t> {
         let anchor_city = match (tier, direction) {
             (Tier::Standard, _) => region_city,
             (Tier::Premium, Direction::ToServer) => host_city,
-            (Tier::Premium, Direction::ToCloud) => {
-                if as_path_forward.len() <= 2 {
-                    host_city
-                } else {
-                    let n = as_path_forward[1];
-                    let a = as_path_forward[2];
-                    match topo.edge_between(n, a) {
-                        Some(e) => topo.edge(e).city,
-                        None => host_city,
-                    }
-                }
-            }
+            (Tier::Premium, Direction::ToCloud) => match as_path_forward.get(2) {
+                Some(&a) => match topo.edge_between(neighbor, a) {
+                    Some(e) => topo.edge(e).city,
+                    None => host_city,
+                },
+                None => host_city,
+            },
         };
-        let link_id = self.pick_link_with_flow(neighbor, anchor_city, flow_id)?;
+        let bundle = self.ecmp_bundle(neighbor, anchor_city)?;
+        Some(HostRoute {
+            region_city,
+            vm_ip,
+            host_as,
+            host_city,
+            host_ip,
+            tier,
+            direction,
+            as_path: as_path_forward,
+            neighbor,
+            bundle,
+        })
+    }
 
-        // Everything below is a pure function of the endpoints and the
-        // chosen border link — serve it from the memo when possible.
-        let key: PathKey = (
-            region_city.0,
-            u32::from(vm_ip),
-            host_as.0,
-            host_city.0,
-            u32::from(host_ip),
-            tier as u8,
-            direction as u8,
-            link_id.0,
-        );
-        if let Some(p) = self.built.borrow().get(&key) {
-            return Some(Arc::clone(p));
-        }
-
+    /// Builds `route`'s router path across the border interface
+    /// `link_id` (one of [`HostRoute::flow_link`]'s picks). `None` when
+    /// the AS path crosses two ASes with no edge between them, which no
+    /// generated topology has.
+    pub fn path_via(&self, route: &HostRoute, link_id: LinkId) -> Option<RouterPath> {
+        let topo = self.topology();
+        let cloud = topo.cloud;
+        let HostRoute {
+            region_city,
+            vm_ip,
+            host_as,
+            host_city,
+            host_ip,
+            tier,
+            direction,
+            neighbor,
+            ..
+        } = *route;
+        let as_path_forward = &route.as_path;
         let link = topo.link(link_id);
         let pop_city = link.pop;
 
@@ -954,7 +972,6 @@ impl<'t> Paths<'t> {
 
         // 5. Final haul inside the host AS to the host's city, plus the
         // access segment and the host itself.
-        let host_node = topo.as_node(host_as);
         push_internal(
             topo,
             &mut hops,
@@ -979,10 +996,8 @@ impl<'t> Paths<'t> {
             city: host_city,
             oneway_ms: clock_ms,
         });
-        let _ = host_node;
 
         // Normalise orientation: hops/segments were built cloud→host.
-        let as_path = as_path_forward;
         if direction == Direction::ToCloud {
             let total = clock_ms;
             hops.reverse();
@@ -992,22 +1007,33 @@ impl<'t> Paths<'t> {
             segments.reverse();
         }
 
-        let path = Arc::new(RouterPath {
+        Some(RouterPath {
             direction,
             tier,
-            as_path,
+            as_path: as_path_forward.clone(),
             hops,
             segments,
             oneway_ms: clock_ms,
             egress_link: Some(link_id),
-        });
-        let mut built = self.built.borrow_mut();
-        if built.len() >= PATH_CACHE_CAP {
-            built.clear();
-        }
-        built.insert(key, Arc::clone(&path));
-        Some(path)
+        })
     }
+}
+
+/// The interface of the non-empty bundle `parallel` (to `neighbor`)
+/// that the ECMP hash puts `flow_id` on.
+fn ecmp_pick(parallel: &[LinkId], neighbor: AsId, flow_id: u64) -> LinkId {
+    // Per-prefix assignment is primary-heavy: the lowest interface of
+    // a bundle carries most prefixes (IGP prefers it), the rest take
+    // an overflow share. This is why the paper's 1,329 server traces
+    // touch only a few hundred of ~6k interfaces, while bdrmap's
+    // broad prefix sweeps still discover the parallel ones.
+    let h = load_key(b"ecmp", neighbor.0 as u64, flow_id);
+    let idx = if parallel.len() == 1 || h % 100 < 75 {
+        0
+    } else {
+        1 + ((h >> 8) % (parallel.len() as u64 - 1)) as usize
+    };
+    parallel[idx]
 }
 
 /// Internal-haul helper: adds hops/segments for crossing AS `owner` from
@@ -1457,5 +1483,56 @@ mod tests {
             .unwrap();
         assert!((path.hops.first().unwrap().oneway_ms - 0.0).abs() < 1e-9);
         assert!((path.hops.last().unwrap().oneway_ms - path.oneway_ms).abs() < 1e-9);
+    }
+
+    /// FNV-1a over everything written to it.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Fingerprint of the `Debug` dump of [`Paths::vm_host_path_flow`]
+    /// from two regions to every non-cloud AS's first city, under both
+    /// tiers, in both directions, for flows 0..4. `Debug` prints every
+    /// hop, segment and `f64` exactly, so any change to a built path
+    /// (including a `None`) changes the hash.
+    fn path_fingerprint(t: &Topology) -> u64 {
+        use std::fmt::Write;
+        let p = Paths::new(t);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for region in ["The Dalles", "St. Ghislain"] {
+            let region = t.cities.by_name(region).unwrap();
+            let vm_ip = t.vm_ip(region, 0);
+            for host in t.non_cloud_ases() {
+                let city = t.as_node(host).cities[0];
+                let ip = t.host_ip(host, city, 0);
+                for tier in [Tier::Premium, Tier::Standard] {
+                    for dir in [Direction::ToServer, Direction::ToCloud] {
+                        for flow in 0..4 {
+                            let path =
+                                p.vm_host_path_flow(region, vm_ip, host, city, ip, tier, dir, flow);
+                            write!(h, "{path:?}").unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        h.0
+    }
+
+    #[test]
+    fn router_paths_are_pinned() {
+        // Every path-level figure starts from these paths, so their
+        // construction is pinned hop for hop and segment for segment.
+        for (seed, pinned) in [(11, 0xb275_a420_5dd3_319b), (29, 0x949e_410c_a57c_84ee)] {
+            let t = Topology::generate(TopologyConfig::tiny(seed));
+            assert_eq!(path_fingerprint(&t), pinned, "tiny {seed}");
+        }
     }
 }
