@@ -1,7 +1,6 @@
-//! Micro-benchmarks of the substrate crates: the discrete-event engine,
-//! the packet-level TCP flow, routing-table computation, path
-//! construction, the fluid TCP model, tsdb ingest/query, and bdrmap
-//! inference.
+//! Micro-benchmarks of the substrate crates: the packet-level TCP flow,
+//! routing-table computation, path construction, the fluid TCP model,
+//! tsdb ingest/query, and bdrmap inference.
 //!
 //! ```text
 //! cargo bench -p clasp-bench --bench substrate
@@ -14,22 +13,6 @@ use simnet::perf::{FlowSpec, PerfModel};
 use simnet::routing::{Direction, Paths, Tier};
 use simnet::time::SimTime;
 use std::hint::black_box;
-
-fn bench_event_engine(c: &mut Criterion) {
-    c.bench_function("engine/schedule_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = simtcp::engine::EventQueue::new();
-            for i in 0..10_000u64 {
-                q.schedule_in_ns((i * 7919) % 100_000, i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, e)) = q.pop() {
-                acc = acc.wrapping_add(e);
-            }
-            black_box(acc)
-        })
-    });
-}
 
 fn bench_packet_tcp(c: &mut Criterion) {
     let mut g = c.benchmark_group("simtcp");
@@ -217,7 +200,6 @@ fn bench_prefix2as(c: &mut Criterion) {
 
 criterion_group!(
     substrate,
-    bench_event_engine,
     bench_packet_tcp,
     bench_routing,
     bench_fluid_model,

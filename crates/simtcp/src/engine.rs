@@ -1,12 +1,26 @@
-//! The discrete-event engine: a simulated clock and an event queue.
+//! The discrete-event engine: a simulated clock and a set of FIFO event
+//! lanes.
 //!
 //! Time is counted in integer nanoseconds so event ordering is exact and
-//! runs are bit-reproducible. Ties are broken by insertion order (FIFO),
-//! which keeps the simulation deterministic even when two events land on
-//! the same tick.
+//! runs are bit-reproducible. Every scheduled event takes the next value
+//! of one global sequence counter, and events pop in `(time, seq)`
+//! order: earliest first, ties in scheduling order.
+//!
+//! A packet simulation's events split into streams that are already
+//! sorted: one link's deliveries arrive in time order (service never
+//! starts before the previous packet's service ends, and propagation is
+//! constant), a link has at most one pending service completion, and a
+//! connection at most one live retransmission timer. So instead of one
+//! priority queue the engine keeps a FIFO lane per stream and pops the
+//! lane whose head is earliest — a scan over a few dozen head keys, with
+//! no sifting.
+//!
+//! A lane can also be a slot: `EventLanes::rearm_in_secs` replaces
+//! its pending event. A displaced event due after the horizon still
+//! counts toward where the clock stops there, exactly as if it had
+//! stayed queued to pop as a no-op.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Simulated time in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
@@ -48,187 +62,143 @@ impl SimClock {
     }
 }
 
-/// A scheduled event: fires at `at`, carries a payload.
-struct Scheduled<E> {
-    at: SimClock,
-    seq: u64,
-    payload: E,
+/// Head key of an empty lane; sorts after every real key.
+const EMPTY: u128 = u128::MAX;
+
+/// An event's sort key: time in the high word, sequence in the low.
+fn event_key(at: SimClock, seq: u64) -> u128 {
+    (u128::from(at.0) << 64) | u128::from(seq)
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Bucket granularity: each ring slot covers `2^BUCKET_SHIFT` ns
-/// (≈2.1 ms — a fraction of any realistic RTT, so in-flight events
-/// spread across many slots).
-const BUCKET_SHIFT: u32 = 21;
-/// Ring size (power of two). Horizon = `N_BUCKETS << BUCKET_SHIFT`
-/// ≈ 2.1 s; later events wait in the overflow heap.
-const N_BUCKETS: usize = 1024;
-
-/// A deterministic future-event list.
+/// A deterministic future-event list made of FIFO lanes.
 ///
-/// Events are kept in a calendar ring of `N_BUCKETS` time slots, each
-/// a small binary heap ordered by `(time, insertion seq)`; events past
-/// the ring's horizon sit in an overflow heap and migrate into the
-/// ring as the clock approaches them. Pop order is *exactly* earliest
-/// time first with FIFO tie-break — identical to a single global heap
-/// — but each push/pop only sifts a per-slot heap holding the events
-/// of one ~2 ms window, not the whole future-event list.
-pub struct EventQueue<E> {
-    buckets: Vec<BinaryHeap<Scheduled<E>>>,
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Ring epoch of the cursor: bucket `cur & (N_BUCKETS-1)` holds
-    /// epoch `cur` (the ring only ever holds epochs `cur..cur+N`).
-    cur: u64,
-    /// Events currently in the ring (not counting overflow).
-    ring_len: usize,
+/// Each lane must be fed in increasing `(time, seq)` order (checked in
+/// debug builds); pops then come out in the global `(time, seq)` order a
+/// single priority queue would give. Events due after the horizon are
+/// never popped.
+pub(crate) struct EventLanes<E> {
+    /// Key of each lane's front event, [`EMPTY`] when the lane is empty.
+    heads: Vec<u128>,
+    lanes: Vec<VecDeque<(u128, E)>>,
     now: SimClock,
     seq: u64,
+    horizon: SimClock,
+    /// Earliest displaced event due after the horizon.
+    displaced_late: Option<SimClock>,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E> Default for EventLanes<E> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
         Self {
-            // Empty BinaryHeaps don't allocate; the ring itself is one
-            // small allocation, and per-slot storage grows on use (and
-            // survives [`Self::reset`] for arena reuse).
-            buckets: (0..N_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            overflow: BinaryHeap::new(),
-            cur: 0,
-            ring_len: 0,
+            heads: Vec::new(),
+            lanes: Vec::new(),
             now: SimClock::ZERO,
             seq: 0,
+            horizon: SimClock(u64::MAX),
+            displaced_late: None,
         }
     }
+}
 
-    /// Clears all events and rewinds the clock to zero, keeping every
-    /// allocation (ring slots, overflow) warm for the next run.
-    pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+impl<E> EventLanes<E> {
+    /// Empties the set into `lanes` lanes, rewinds the clock to zero and
+    /// sets the horizon, keeping every lane's capacity warm for reuse.
+    pub(crate) fn reset_lanes(&mut self, lanes: usize, horizon: SimClock) {
+        for lane in &mut self.lanes {
+            lane.clear();
         }
-        self.overflow.clear();
-        self.cur = 0;
-        self.ring_len = 0;
+        self.lanes.resize_with(lanes, VecDeque::new);
+        self.heads.clear();
+        self.heads.resize(lanes, EMPTY);
         self.now = SimClock::ZERO;
         self.seq = 0;
+        self.horizon = horizon;
+        self.displaced_late = None;
     }
 
     /// Current simulated time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimClock {
+    pub(crate) fn now(&self) -> SimClock {
         self.now
     }
 
-    /// Schedules `payload` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics when `at` is in the past — scheduling into the past would
-    /// silently corrupt causality.
-    pub fn schedule_at(&mut self, at: SimClock, payload: E) {
-        assert!(at >= self.now, "event scheduled in the past");
-        let ev = Scheduled {
-            at,
-            seq: self.seq,
-            payload,
-        };
+    /// Appends `payload` to `lane`, due `ns` nanoseconds from now.
+    pub(crate) fn schedule_in_ns(&mut self, lane: usize, ns: u64, payload: E) {
+        let key = event_key(self.now.plus_ns(ns), self.seq);
         self.seq += 1;
-        let epoch = at.0 >> BUCKET_SHIFT;
-        if epoch < self.cur + N_BUCKETS as u64 {
-            self.buckets[epoch as usize & (N_BUCKETS - 1)].push(ev);
-            self.ring_len += 1;
-        } else {
-            self.overflow.push(ev);
+        let q = &mut self.lanes[lane];
+        debug_assert!(
+            q.back().is_none_or(|&(k, _)| k < key),
+            "lane {lane} scheduled out of order"
+        );
+        if q.is_empty() {
+            self.heads[lane] = key;
         }
+        q.push_back((key, payload));
     }
 
-    /// Schedules `payload` after a delay of `ns` nanoseconds.
-    pub fn schedule_in_ns(&mut self, ns: u64, payload: E) {
-        self.schedule_at(self.now.plus_ns(ns), payload);
-    }
-
-    /// Schedules `payload` after a delay in fractional seconds.
-    pub fn schedule_in_secs(&mut self, s: f64, payload: E) {
-        self.schedule_at(self.now.plus_secs_f64(s), payload);
-    }
-
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimClock, E)> {
-        if self.ring_len == 0 {
-            // Ring drained: jump the cursor straight to the earliest
-            // overflow epoch (or report empty).
-            let min_epoch = self.overflow.peek()?.at.0 >> BUCKET_SHIFT;
-            self.cur = self.cur.max(min_epoch);
-            self.drain_overflow();
-        }
-        loop {
-            if let Some(ev) = self.buckets[self.cur as usize & (N_BUCKETS - 1)].pop() {
-                self.ring_len -= 1;
-                debug_assert!(ev.at >= self.now);
-                self.now = ev.at;
-                return Some((ev.at, ev.payload));
+    /// Makes `payload`, due `s` seconds from now, the only event of
+    /// `lane`, displacing the one pending there. A displaced event due
+    /// by the horizon is forgotten: it could only move the clock of a
+    /// run whose lanes all empty before the horizon.
+    pub(crate) fn rearm_in_secs(&mut self, lane: usize, s: f64, payload: E) {
+        let key = event_key(self.now.plus_secs_f64(s), self.seq);
+        self.seq += 1;
+        let q = &mut self.lanes[lane];
+        debug_assert!(q.len() <= 1, "lane {lane} is not a slot");
+        if let Some((old, _)) = q.pop_front() {
+            let at = SimClock((old >> 64) as u64);
+            if at > self.horizon {
+                self.displaced_late = Some(self.displaced_late.map_or(at, |d| d.min(at)));
             }
-            // Slot for epoch `cur` is empty; advancing the cursor pulls
-            // the next newly-in-horizon overflow events into the ring.
-            self.cur += 1;
-            self.drain_overflow();
         }
+        self.heads[lane] = key;
+        q.push_back((key, payload));
     }
 
-    /// Moves overflow events whose epoch is now inside the ring horizon
-    /// into their slots.
-    fn drain_overflow(&mut self) {
-        let horizon = self.cur + N_BUCKETS as u64;
-        while let Some(ev) = self.overflow.peek() {
-            let epoch = ev.at.0 >> BUCKET_SHIFT;
-            if epoch >= horizon {
-                break;
+    /// Pops the earliest event, advancing the clock to it, and returns
+    /// its lane and payload.
+    ///
+    /// Returns `None` once the earliest event is due after the horizon,
+    /// or no event is left. The clock then stops at the first event past
+    /// the horizon, displaced or not, where a single queue that kept the
+    /// displaced events would stop; with none it stays at the last event
+    /// popped.
+    pub(crate) fn pop_due(&mut self) -> Option<(usize, E)> {
+        let (lane, key) = self
+            .heads
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, k)| k)?;
+        let at = SimClock((key >> 64) as u64);
+        if key == EMPTY || at > self.horizon {
+            let live = (key != EMPTY).then_some(at);
+            if let Some(first_late) = live.into_iter().chain(self.displaced_late).min() {
+                self.now = first_late;
             }
-            let ev = self.overflow.pop().expect("peeked non-empty");
-            self.buckets[epoch as usize & (N_BUCKETS - 1)].push(ev);
-            self.ring_len += 1;
+            return None;
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let q = &mut self.lanes[lane];
+        let (_, payload) = q.pop_front()?;
+        self.heads[lane] = q.front().map_or(EMPTY, |&(k, _)| k);
+        self.now = at;
+        Some((lane, payload))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lanes<E>(n: usize) -> EventLanes<E> {
+        let mut q = EventLanes::default();
+        q.reset_lanes(n, SimClock(u64::MAX));
+        q
+    }
+
+    fn drain<E>(q: &mut EventLanes<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop_due().map(|(_, e)| e)).collect()
+    }
 
     #[test]
     fn clock_conversions_roundtrip() {
@@ -246,150 +216,160 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule_in_ns(300, "c");
-        q.schedule_in_ns(100, "a");
-        q.schedule_in_ns(200, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+        let mut q = lanes(3);
+        q.schedule_in_ns(0, 300, "c");
+        q.schedule_in_ns(1, 100, "a");
+        q.schedule_in_ns(2, 200, "b");
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule_in_ns(100, 1);
-        q.schedule_in_ns(100, 2);
-        q.schedule_in_ns(100, 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        let mut q = lanes(3);
+        q.schedule_in_ns(2, 100, 1);
+        q.schedule_in_ns(0, 100, 2);
+        q.schedule_in_ns(1, 100, 3);
+        q.schedule_in_ns(0, 100, 4);
+        assert_eq!(drain(&mut q), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn clock_advances_with_pop() {
-        let mut q = EventQueue::new();
-        q.schedule_in_ns(500, ());
+        let mut q = lanes(1);
+        q.schedule_in_ns(0, 500, ());
         assert_eq!(q.now(), SimClock::ZERO);
-        q.pop();
+        q.pop_due();
         assert_eq!(q.now(), SimClock(500));
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "in the past")]
+    #[should_panic(expected = "out of order")]
     fn scheduling_in_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule_in_ns(100, ());
-        q.pop();
-        q.schedule_at(SimClock(50), ());
+        // Earlier than the lane's tail is the lane's past.
+        let mut q = lanes(1);
+        q.schedule_in_ns(0, 100, ());
+        q.schedule_in_ns(0, 50, ());
     }
 
     #[test]
     fn relative_scheduling_is_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_in_ns(100, "first");
-        q.pop();
-        q.schedule_in_ns(100, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimClock(200));
+        let mut q = lanes(2);
+        q.schedule_in_ns(0, 100, "first");
+        q.pop_due();
+        q.schedule_in_ns(1, 100, "second");
+        assert_eq!(q.pop_due(), Some((1, "second")));
+        assert_eq!(q.now(), SimClock(200));
     }
 
     #[test]
-    fn events_beyond_ring_horizon_pop_in_order() {
-        // Mix near events with events far past the ring horizon
-        // (N_BUCKETS << BUCKET_SHIFT ns ≈ 2.1 s), including some that
-        // land in the same ring slot after wrap-around.
-        let horizon_ns = (N_BUCKETS as u64) << BUCKET_SHIFT;
-        let mut q = EventQueue::new();
-        let delays = [
-            1u64,
-            horizon_ns * 3 + 17,
-            1 << BUCKET_SHIFT,
-            horizon_ns + 5,
-            horizon_ns * 3 + 17, // tie with an earlier overflow event
-            42,
-            horizon_ns * 2,
-        ];
-        for (i, d) in delays.iter().enumerate() {
-            q.schedule_in_ns(*d, i);
-        }
-        assert_eq!(q.len(), delays.len());
-        let mut popped: Vec<(u64, usize)> = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t.0, i));
-        }
-        // Expected: sort by (time, insertion index) — the exact global
-        // heap order.
-        let mut expect: Vec<(u64, usize)> =
-            delays.iter().enumerate().map(|(i, d)| (*d, i)).collect();
-        expect.sort_by_key(|&(d, i)| (d, i));
-        assert_eq!(popped, expect);
+    fn rearm_replaces_the_pending_event() {
+        let mut q = lanes(2);
+        q.rearm_in_secs(0, 1e-6, "stale");
+        q.schedule_in_ns(1, 300, "packet");
+        q.rearm_in_secs(0, 2e-7, "timer");
+        assert_eq!(drain(&mut q), vec!["timer", "packet"]);
+        assert_eq!(q.now(), SimClock(300));
+    }
+
+    #[test]
+    fn horizon_stops_the_clock_at_the_first_late_event() {
+        let mut q: EventLanes<&str> = EventLanes::default();
+        q.reset_lanes(2, SimClock(1000));
+        q.schedule_in_ns(0, 900, "due");
+        q.schedule_in_ns(0, 1500, "late");
+        q.rearm_in_secs(1, 1.2e-6, "displaced");
+        q.rearm_in_secs(1, 2e-6, "live");
+        assert_eq!(drain(&mut q), vec!["due"]);
+        assert_eq!(q.now(), SimClock(1200));
     }
 
     #[test]
     fn interleaved_schedule_pop_matches_global_order() {
-        // Deterministic pseudo-random workload: schedule/pop interleave,
-        // with delays straddling the horizon. Mirror against a sorted
-        // reference model.
-        let mut q = EventQueue::new();
-        let mut model: Vec<(u64, u64)> = Vec::new(); // (at, seq)
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let step = |s: &mut u64| {
-            *s ^= *s << 13;
-            *s ^= *s >> 7;
-            *s ^= *s << 17;
-            *s
+        // Mirror a pseudo-random workload against a reference queue that
+        // holds every event, displaced ones as no-ops. Lanes 0–3 are
+        // FIFOs; lanes 4–5 are slots rearmed in place.
+        const HORIZON: u64 = 2_000_000;
+        let mut q = EventLanes::default();
+        q.reset_lanes(6, SimClock(HORIZON));
+        // (at, seq, payload), payload `None` once displaced.
+        let mut model: Vec<(u64, u64, Option<u64>)> = Vec::new();
+        let mut model_now = 0u64;
+        // Pops the model until a live event comes out or the run ends.
+        let model_pop = |model: &mut Vec<(u64, u64, Option<u64>)>, now: &mut u64| loop {
+            let (i, &(at, _, id)) = model
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &(at, s, _))| (at, s))?;
+            *now = at;
+            if at > HORIZON {
+                return None;
+            }
+            model.remove(i);
+            if id.is_some() {
+                return id;
+            }
         };
-        for round in 0u64..2000 {
-            let r = step(&mut state);
-            // Delays from sub-bucket to multiple horizons.
-            let delay = r % ((N_BUCKETS as u64) << (BUCKET_SHIFT + 2));
-            q.schedule_in_ns(delay, round);
-            model.push((q.now().0 + delay, round));
-            if round % 3 == 0 {
-                let (t, got) = q.pop().expect("model non-empty");
-                let min = *model
-                    .iter()
-                    .min_by_key(|&&(at, s)| (at, s))
-                    .expect("non-empty");
-                model.retain(|&e| e != min);
-                assert_eq!((t.0, got), min);
+        let mut tails = [0u64; 4];
+        let mut slots = [u64::MAX; 2];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut seq = 0u64;
+        let mut ended = false;
+        for id in 0u64.. {
+            if !ended {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let lane = (state % 6) as usize;
+                let delay = (state >> 8) % 400_000;
+                let now = q.now().0;
+                if let Some(tail) = tails.get_mut(lane) {
+                    let at = (now + delay).max(*tail);
+                    q.schedule_in_ns(lane, at - now, id);
+                    *tail = at;
+                    model.push((at, seq, Some(id)));
+                } else {
+                    let s = delay as f64 * 1e-9;
+                    q.rearm_in_secs(lane, s, id);
+                    let slot = &mut slots[lane - 4];
+                    if let Some(e) = model.iter_mut().find(|e| e.1 == *slot) {
+                        e.2 = None;
+                    }
+                    *slot = seq;
+                    model.push((q.now().plus_secs_f64(s).0, seq, Some(id)));
+                }
+                seq += 1;
+            }
+            if id % 2 == 1 || ended {
+                let got = q.pop_due().map(|(_, e)| e);
+                assert_eq!(got, model_pop(&mut model, &mut model_now));
+                assert_eq!(q.now().0, model_now);
+                if got.is_none() {
+                    break;
+                }
+                ended |= id > 3000;
             }
         }
-        while let Some((t, got)) = q.pop() {
-            let min = *model
-                .iter()
-                .min_by_key(|&&(at, s)| (at, s))
-                .expect("model tracks queue");
-            model.retain(|&e| e != min);
-            assert_eq!((t.0, got), min);
-        }
-        assert!(model.is_empty());
+        assert!(q.now().0 > HORIZON, "the run must end at the horizon");
+        assert!(
+            q.displaced_late.is_some(),
+            "a displaced event must outlive it"
+        );
     }
 
     #[test]
     fn reset_rewinds_and_reuses() {
-        let mut q = EventQueue::new();
-        q.schedule_in_ns(100, "a");
-        q.schedule_in_ns(((N_BUCKETS as u64) << BUCKET_SHIFT) * 2, "far");
-        q.pop();
-        q.reset();
-        assert!(q.is_empty());
+        let mut q = lanes(2);
+        q.schedule_in_ns(0, 100, "a");
+        q.schedule_in_ns(1, 5_000_000_000, "far");
+        q.pop_due();
+        q.reset_lanes(3, SimClock(u64::MAX));
         assert_eq!(q.now(), SimClock::ZERO);
-        // Behaves exactly like a fresh queue afterwards.
-        q.schedule_in_ns(300, "c");
-        q.schedule_in_ns(100, "a");
-        q.schedule_in_ns(100, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule_in_ns(1, ());
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        assert_eq!(q.pop_due(), None);
+        // Behaves exactly like a fresh set afterwards.
+        q.schedule_in_ns(2, 300, "c");
+        q.schedule_in_ns(0, 100, "a");
+        q.schedule_in_ns(1, 100, "b");
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
     }
 }

@@ -6,7 +6,7 @@
 //! as the multi-connection speed tests in the paper do. Produces a
 //! tcpdump-style [`Capture`] when asked.
 
-use crate::engine::{EventQueue, SimClock};
+use crate::engine::{EventLanes, SimClock};
 use crate::link::{LinkSpec, LinkState, Offer};
 use crate::tcp::{CongestionControl, SenderActions, TcpReceiver, TcpSender};
 
@@ -171,31 +171,23 @@ pub fn unpack_ack(num: u64) -> (u64, u64) {
     (num >> ACK_FIELD_BITS, num & ((1 << ACK_FIELD_BITS) - 1))
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Packet finished link `hop` (serialisation + propagation) and
-    /// arrives at the next stage.
-    Deliver { hop: usize, fwd: bool, token: u64 },
-    /// Link `hop` finished serialising its in-service packet.
-    ServiceDone { hop: usize, fwd: bool },
-    /// Retransmission timer for a connection.
-    Timer { conn: usize, gen: u64 },
-}
-
-struct Harness {
-    q: EventQueue<Ev>,
-    fwd: Vec<LinkState>,
-    rev: Vec<LinkState>,
-    senders: Vec<TcpSender>,
-    receivers: Vec<TcpReceiver>,
-    timer_gen: Vec<u64>,
+/// Drives one flow. Links sit in one table, forward hops first then
+/// reverse; lanes are laid out as one delivery FIFO per link, then one
+/// service-completion slot per link, then one retransmission-timer slot
+/// per connection.
+struct Harness<'a> {
+    q: &'a mut EventLanes<u64>,
+    links: &'a mut [LinkState],
+    senders: &'a mut [TcpSender],
+    receivers: &'a mut [TcpReceiver],
+    /// Forward links (data direction) in `links`.
+    n_fwd: usize,
     mss: usize,
     capture_on: bool,
     capture: Capture,
-    deadline: SimClock,
 }
 
-impl Harness {
+impl Harness<'_> {
     fn now_ms(&self) -> f64 {
         self.q.now().as_millis_f64()
     }
@@ -213,31 +205,79 @@ impl Harness {
         }
     }
 
-    /// Offers a packet to link `hop` of the given direction; schedules the
-    /// service-done and delivery events on acceptance.
-    fn send_on(&mut self, hop: usize, fwd: bool, token: Token, bytes: usize) {
-        let link = if fwd {
-            &mut self.fwd[hop]
-        } else {
-            &mut self.rev[hop]
-        };
+    /// Schedules link `l`'s service completion `tx_ns` from now and the
+    /// delivery of `packed` `total_ns` from now, in that order.
+    fn schedule_hop(&mut self, l: usize, tx_ns: u64, total_ns: u64, packed: u64) {
+        self.q.schedule_in_ns(self.links.len() + l, tx_ns, 0);
+        self.q.schedule_in_ns(l, total_ns, packed);
+    }
+
+    /// Offers a packet to link `l`; on acceptance schedules its service
+    /// completion and delivery.
+    fn offer_to_link(&mut self, l: usize, token: Token, bytes: usize) {
+        let link = &mut self.links[l];
         let prop = link.spec.prop_ns();
         match link.offer(bytes, token.pack()) {
-            Offer::Transmit(total) => {
-                let tx = total - prop;
-                self.q.schedule_in_ns(tx, Ev::ServiceDone { hop, fwd });
-                self.q.schedule_in_ns(
-                    total,
-                    Ev::Deliver {
-                        hop,
-                        fwd,
-                        token: token.pack(),
-                    },
-                );
-            }
+            Offer::Transmit(total) => self.schedule_hop(l, total - prop, total, token.pack()),
             Offer::Queued => {}
             Offer::Dropped => self.record(token, CaptureEvent::Dropped),
         }
+    }
+
+    /// Link `l` finished serialising: start the next queued packet.
+    fn finish_service(&mut self, l: usize) {
+        let link = &mut self.links[l];
+        if let Some((_, packed, total)) = link.service_complete() {
+            let prop = link.spec.prop_ns();
+            self.schedule_hop(l, total - prop, total, packed);
+        }
+    }
+
+    /// A packet left link `l`: forward it to the next hop, or hand it to
+    /// the endpoint at the end of its direction.
+    fn deliver_packet(&mut self, l: usize, packed: u64) {
+        let t = Token::unpack(packed);
+        let fwd = l < self.n_fwd;
+        let end = if fwd { self.n_fwd } else { self.links.len() };
+        if l + 1 < end {
+            let bytes = if t.is_ack {
+                ACK_BYTES
+            } else {
+                self.mss + HEADER_BYTES
+            };
+            self.offer_to_link(l + 1, t, bytes);
+            return;
+        }
+        self.record(t, CaptureEvent::Delivered);
+        if fwd {
+            // Data arrives at the receiver → emit a cumulative ACK that
+            // also echoes the triggering segment (the simulator's SACK
+            // information).
+            let ack = self.receivers[t.conn as usize].on_data(t.num);
+            let ack_token = Token {
+                conn: t.conn,
+                num: pack_ack(ack, t.num),
+                is_ack: true,
+            };
+            self.record(ack_token, CaptureEvent::Sent);
+            self.offer_to_link(self.n_fwd, ack_token, ACK_BYTES);
+        } else {
+            // ACK arrives at the sender.
+            let (ack, echo) = unpack_ack(t.num);
+            let now = self.now_ms();
+            let actions = self.senders[t.conn as usize].on_ack_sack(ack, Some(echo), now);
+            self.apply_actions(t.conn as usize, actions);
+        }
+    }
+
+    /// Connection `conn`'s retransmission timer fired.
+    fn fire_rto(&mut self, conn: usize) {
+        if !self.senders[conn].has_outstanding() {
+            return;
+        }
+        let now = self.now_ms();
+        let actions = self.senders[conn].on_timeout(now);
+        self.apply_actions(conn, actions);
     }
 
     fn apply_actions(&mut self, conn: usize, actions: SenderActions) {
@@ -248,106 +288,32 @@ impl Harness {
                 is_ack: false,
             };
             self.record(token, CaptureEvent::Sent);
-            self.send_on(0, true, token, self.mss + HEADER_BYTES);
+            self.offer_to_link(0, token, self.mss + HEADER_BYTES);
         }
         if actions.rearm_timer {
-            self.arm_timer(conn);
-        }
-    }
-
-    fn arm_timer(&mut self, conn: usize) {
-        self.timer_gen[conn] += 1;
-        let gen = self.timer_gen[conn];
-        let rto = self.senders[conn].rto_ms();
-        self.q
-            .schedule_in_secs(rto / 1000.0, Ev::Timer { conn, gen });
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::ServiceDone { hop, fwd } => {
-                let link = if fwd {
-                    &mut self.fwd[hop]
-                } else {
-                    &mut self.rev[hop]
-                };
-                if let Some((bytes, token, total)) = link.service_complete() {
-                    let prop = link.spec.prop_ns();
-                    let tx = total - prop;
-                    let _ = bytes;
-                    self.q.schedule_in_ns(tx, Ev::ServiceDone { hop, fwd });
-                    self.q
-                        .schedule_in_ns(total, Ev::Deliver { hop, fwd, token });
-                }
-            }
-            Ev::Deliver { hop, fwd, token } => {
-                let t = Token::unpack(token);
-                let links_len = if fwd { self.fwd.len() } else { self.rev.len() };
-                if hop + 1 < links_len {
-                    let bytes = if t.is_ack {
-                        ACK_BYTES
-                    } else {
-                        self.mss + HEADER_BYTES
-                    };
-                    self.send_on(hop + 1, fwd, t, bytes);
-                    return;
-                }
-                // Endpoint reached.
-                if fwd {
-                    // Data arrives at the receiver → emit a cumulative ACK
-                    // that also echoes the triggering segment (the
-                    // simulator's SACK information).
-                    self.record(t, CaptureEvent::Delivered);
-                    let ack = self.receivers[t.conn as usize].on_data(t.num);
-                    let ack_token = Token {
-                        conn: t.conn,
-                        num: pack_ack(ack, t.num),
-                        is_ack: true,
-                    };
-                    self.record(ack_token, CaptureEvent::Sent);
-                    self.send_on(0, false, ack_token, ACK_BYTES);
-                } else {
-                    // ACK arrives at the sender.
-                    self.record(t, CaptureEvent::Delivered);
-                    let (ack, echo) = unpack_ack(t.num);
-                    let now = self.now_ms();
-                    let actions = self.senders[t.conn as usize].on_ack_sack(ack, Some(echo), now);
-                    self.apply_actions(t.conn as usize, actions);
-                }
-            }
-            Ev::Timer { conn, gen } => {
-                if self.timer_gen[conn] != gen {
-                    return; // superseded
-                }
-                if !self.senders[conn].has_outstanding() {
-                    return;
-                }
-                let now = self.now_ms();
-                let actions = self.senders[conn].on_timeout(now);
-                self.apply_actions(conn, actions);
-            }
+            let rto = self.senders[conn].rto_ms();
+            let lane = 2 * self.links.len() + conn;
+            self.q.rearm_in_secs(lane, rto / 1000.0, 0);
         }
     }
 }
 
 /// Reusable scratch state for [`run_flow_in`].
 ///
-/// A flow harness needs an event ring, per-hop link states, and
+/// A flow harness needs event lanes, per-hop link states, and
 /// per-connection endpoint tables; sweeps that simulate thousands of
 /// flows (mitigation ranking, packet-level validation, benches) would
 /// otherwise rebuild all of it per run. The arena keeps those
 /// allocations warm across runs. Results are bit-identical to a fresh
-/// harness — the queue rewinds to time zero and every table is
-/// refilled from the config — which the `arena_reuse_matches_fresh`
-/// proptest guards.
+/// harness — the lanes rewind to time zero and every table is refilled
+/// from the config — which the `arena_reuse_matches_fresh` proptest
+/// guards.
 #[derive(Default)]
 pub struct FlowArena {
-    q: EventQueue<Ev>,
-    fwd: Vec<LinkState>,
-    rev: Vec<LinkState>,
+    q: EventLanes<u64>,
+    links: Vec<LinkState>,
     senders: Vec<TcpSender>,
     receivers: Vec<TcpReceiver>,
-    timer_gen: Vec<u64>,
 }
 
 impl FlowArena {
@@ -375,48 +341,48 @@ pub fn run_flow_in(arena: &mut FlowArena, path: &PathSpec, config: &FlowConfig) 
         .total_bytes
         .map(|b| b.div_ceil(config.mss_bytes as u64));
 
-    let mut q = std::mem::take(&mut arena.q);
-    q.reset();
-    let mut fwd = std::mem::take(&mut arena.fwd);
-    fwd.clear();
-    fwd.extend(
-        path.fwd
-            .iter()
-            .enumerate()
-            .map(|(i, s)| LinkState::new(*s, config.seed.wrapping_add(i as u64 * 2 + 1))),
+    // Per-link loss seeds: odd offsets forward, even offsets reverse.
+    let fwd = path
+        .fwd
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s, i as u64 * 2 + 1));
+    let rev = path
+        .rev
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s, i as u64 * 2 + 2));
+    arena.links.clear();
+    arena.links.extend(
+        fwd.chain(rev)
+            .map(|(s, k)| LinkState::new(*s, config.seed.wrapping_add(k))),
     );
-    let mut rev = std::mem::take(&mut arena.rev);
-    rev.clear();
-    rev.extend(
-        path.rev
-            .iter()
-            .enumerate()
-            .map(|(i, s)| LinkState::new(*s, config.seed.wrapping_add(i as u64 * 2 + 2))),
+    arena.senders.clear();
+    arena
+        .senders
+        .extend((0..config.n_connections).map(|_| match total_segments {
+            Some(t) => TcpSender::with_total(config.cc, t),
+            None => TcpSender::new(config.cc),
+        }));
+    arena.receivers.clear();
+    arena
+        .receivers
+        .extend((0..config.n_connections).map(|_| TcpReceiver::new()));
+    let n_links = arena.links.len();
+    arena.q.reset_lanes(
+        2 * n_links + config.n_connections,
+        SimClock::from_secs_f64(config.duration_s),
     );
-    let mut senders = std::mem::take(&mut arena.senders);
-    senders.clear();
-    senders.extend((0..config.n_connections).map(|_| match total_segments {
-        Some(t) => TcpSender::with_total(config.cc, t),
-        None => TcpSender::new(config.cc),
-    }));
-    let mut receivers = std::mem::take(&mut arena.receivers);
-    receivers.clear();
-    receivers.extend((0..config.n_connections).map(|_| TcpReceiver::new()));
-    let mut timer_gen = std::mem::take(&mut arena.timer_gen);
-    timer_gen.clear();
-    timer_gen.resize(config.n_connections, 0);
 
     let mut h = Harness {
-        q,
-        fwd,
-        rev,
-        senders,
-        receivers,
-        timer_gen,
+        q: &mut arena.q,
+        links: &mut arena.links,
+        senders: &mut arena.senders,
+        receivers: &mut arena.receivers,
+        n_fwd: path.fwd.len(),
         mss: config.mss_bytes,
         capture_on: config.capture,
         capture: Capture::default(),
-        deadline: SimClock::from_secs_f64(config.duration_s),
     };
 
     // Prime every connection's initial window; apply_actions arms the
@@ -426,15 +392,14 @@ pub fn run_flow_in(arena: &mut FlowArena, path: &PathSpec, config: &FlowConfig) 
         h.apply_actions(conn, actions);
     }
 
-    while let Some((t, ev)) = h.q.pop() {
-        if t > h.deadline {
-            break;
+    while let Some((lane, packed)) = h.q.pop_due() {
+        match lane.checked_sub(n_links) {
+            None => h.deliver_packet(lane, packed),
+            Some(l) if l < n_links => h.finish_service(l),
+            Some(timer) => h.fire_rto(timer - n_links),
         }
-        h.handle(ev);
-        if let Some(_total) = total_segments {
-            if h.senders.iter().all(|s| s.finished()) {
-                break;
-            }
+        if total_segments.is_some() && h.senders.iter().all(TcpSender::finished) {
+            break;
         }
     }
 
@@ -445,16 +410,16 @@ pub fn run_flow_in(arena: &mut FlowArena, path: &PathSpec, config: &FlowConfig) 
     } else {
         config.duration_s
     };
-    let (offered, dropped) = h.fwd.iter().fold((0u64, 0u64), |(o, d), l| {
+    let (offered, dropped) = h.links[..h.n_fwd].iter().fold((0u64, 0u64), |(o, d), l| {
         (
             o + l.accepted + l.drops_queue + l.drops_random,
             d + l.drops_queue + l.drops_random,
         )
     });
     // Mean smoothed RTT. The f64 fold runs in connection-index order
-    // (`senders` is a Vec indexed by conn), which is the canonical
-    // order — reproducible across runs, arena reuse, and refactors.
-    // Guarded by `srtt_fold_is_connection_ordered` below.
+    // (`senders` is indexed by conn), which is the canonical order —
+    // reproducible across runs, arena reuse, and refactors. Guarded by
+    // `srtt_fold_is_connection_ordered` below.
     let srtts: Vec<f64> = h.senders.iter().filter_map(|s| s.srtt_ms()).collect();
     let srtt_ms = if srtts.is_empty() {
         None
@@ -462,7 +427,7 @@ pub fn run_flow_in(arena: &mut FlowArena, path: &PathSpec, config: &FlowConfig) 
         Some(srtts.iter().sum::<f64>() / srtts.len() as f64)
     };
 
-    let result = FlowResult {
+    FlowResult {
         delivered_bytes,
         duration_s,
         throughput_mbps: delivered_bytes as f64 * 8.0 / duration_s / 1e6,
@@ -475,17 +440,7 @@ pub fn run_flow_in(arena: &mut FlowArena, path: &PathSpec, config: &FlowConfig) 
             dropped as f64 / offered as f64
         },
         capture: h.capture,
-    };
-
-    // Hand the scratch structures back for the next run.
-    arena.q = h.q;
-    arena.fwd = h.fwd;
-    arena.rev = h.rev;
-    arena.senders = h.senders;
-    arena.receivers = h.receivers;
-    arena.timer_gen = h.timer_gen;
-
-    result
+    }
 }
 
 #[cfg(test)]
@@ -694,6 +649,112 @@ mod tests {
                 r.throughput_mbps
             );
         }
+    }
+
+    /// FNV-1a 64 over every [`FlowResult`] field (floats by their bits)
+    /// and every capture record.
+    fn flow_fingerprint(r: &FlowResult) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        eat(r.delivered_bytes);
+        eat(r.duration_s.to_bits());
+        eat(r.throughput_mbps.to_bits());
+        eat(r.retransmits);
+        eat(r.timeouts);
+        eat(r.srtt_ms.map_or(u64::MAX, f64::to_bits));
+        eat(r.observed_loss.to_bits());
+        eat(r.capture.truncated);
+        eat(r.capture.records.len() as u64);
+        for c in &r.capture.records {
+            eat(c.t_ms.to_bits());
+            eat(u64::from(c.conn));
+            eat(c.num);
+            eat(u64::from(c.is_ack));
+            eat(c.event as u64);
+        }
+        h
+    }
+
+    /// Every output bit of the packet simulator, pinned over shapes that
+    /// cover clean and lossy paths, 1–8 connections, both congestion
+    /// controls, a shallow bottleneck, and bounded transfers that do and
+    /// do not finish before the deadline (the latter report the clock of
+    /// the first event past the deadline). Each shape runs fresh and
+    /// through one reused [`FlowArena`]; both must match the constant.
+    #[test]
+    fn flows_are_pinned() {
+        let lossy = |loss: f64| {
+            let mut p = clean_path(200.0, 10.0);
+            p.fwd[1].loss = loss;
+            p
+        };
+        let shallow = PathSpec::symmetric(vec![
+            LinkSpec::new(1000.0, 0.1, 256, 0.0),
+            LinkSpec::new(20.0, 10.0, 6, 0.0),
+            LinkSpec::new(1000.0, 0.1, 256, 0.0),
+        ]);
+        // Loss on ACKs as well as data leaves long idle gaps, so the first
+        // event past the deadline can be a retransmission timer that a
+        // later ACK already re-armed.
+        let mut two_way_loss = clean_path(50.0, 10.0);
+        two_way_loss.fwd[1].loss = 0.1;
+        two_way_loss.rev[1].loss = 0.1;
+        // Zero-delay edge links put a packet's service completion and
+        // delivery on the same tick, so the order ties pop in shows.
+        let mut zero_delay_edges = PathSpec::symmetric(vec![
+            LinkSpec::new(1000.0, 0.0, 256, 0.0),
+            LinkSpec::new(100.0, 5.0, 64, 0.0),
+            LinkSpec::new(1000.0, 0.0, 256, 0.0),
+        ]);
+        zero_delay_edges.fwd[1].loss = 0.01;
+        let cfg = |cc, n_connections, duration_s, seed, total_bytes| FlowConfig {
+            cc,
+            n_connections,
+            duration_s,
+            seed,
+            total_bytes,
+            capture: true,
+            ..Default::default()
+        };
+        use CongestionControl::{Cubic, Reno};
+        let shapes = [
+            (clean_path(100.0, 5.0), cfg(Cubic, 1, 1.5, 1, None)),
+            (clean_path(150.0, 20.0), cfg(Reno, 2, 1.5, 2, None)),
+            (lossy(0.01), cfg(Cubic, 4, 1.5, 3, None)),
+            (lossy(0.02), cfg(Reno, 8, 1.0, 4, None)),
+            (lossy(0.005), cfg(Cubic, 8, 1.0, 5, None)),
+            (shallow.clone(), cfg(Reno, 1, 2.0, 6, None)),
+            (shallow, cfg(Cubic, 3, 2.0, 7, None)),
+            (zero_delay_edges.clone(), cfg(Reno, 4, 1.0, 11, None)),
+            (zero_delay_edges, cfg(Cubic, 2, 1.0, 12, Some(2_000_000))),
+            (
+                clean_path(100.0, 2.0),
+                cfg(Cubic, 2, 30.0, 8, Some(400_000)),
+            ),
+            (lossy(0.03), cfg(Reno, 3, 0.5, 9, Some(50_000_000))),
+            (
+                two_way_loss.clone(),
+                cfg(Cubic, 1, 0.6, 4, Some(10_000_000)),
+            ),
+            (two_way_loss, cfg(Reno, 2, 0.9, 0, Some(10_000_000))),
+        ];
+        let mut arena = FlowArena::new();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (path, cfg) in &shapes {
+            let fresh = flow_fingerprint(&run_flow(path, cfg));
+            let reused = flow_fingerprint(&run_flow_in(&mut arena, path, cfg));
+            assert_eq!(fresh, reused, "arena reuse diverged on {cfg:?}");
+            h = (h ^ fresh).wrapping_mul(0x1000_0000_01b3);
+        }
+        assert_eq!(
+            h, 0xde35_e5e3_748a_31be,
+            "packet simulator output changed: {h:#018x}"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! user-space stacks like smoltcp — explicit state machines, no hidden
 //! time, no allocation tricks.
 //!
-//! * [`engine`] — the event queue and simulated clock (nanosecond ticks);
+//! * [`engine`] — the simulated clock (nanosecond ticks) and the event
+//!   lanes: one FIFO per sorted event stream, popped in global
+//!   `(time, seq)` order;
 //! * [`link`] — store-and-forward links with rate, propagation delay,
 //!   drop-tail queues, and seeded random loss (fault injection);
 //! * [`tcp`] — a window-based TCP sender/receiver pair with slow start,
@@ -24,7 +26,7 @@ pub mod flow;
 pub mod link;
 pub mod tcp;
 
-pub use engine::{EventQueue, SimClock};
+pub use engine::SimClock;
 pub use flow::{run_flow, Capture, CaptureRecord, FlowConfig, FlowResult, PathSpec};
 pub use link::{LinkSpec, LinkState};
 pub use tcp::{CongestionControl, TcpSender};

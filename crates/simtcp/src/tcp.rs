@@ -9,7 +9,7 @@
 //! Segments are modelled at MSS granularity and identified by index; the
 //! driver (see [`crate::flow`]) owns actual packet motion.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Congestion-avoidance algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +84,10 @@ pub struct TcpSender {
     w_max: f64,
     epoch_start_ms: Option<f64>,
     cubic_k: f64,
-    // In-flight bookkeeping for RTT sampling (Karn) and pipe accounting.
-    inflight: BTreeMap<u64, SegInfo>,
+    /// In-flight scoreboard for RTT sampling (Karn) and pipe accounting:
+    /// exactly the segments `snd_una..next_seq`, the one at index `i`
+    /// being `snd_una + i`.
+    inflight: VecDeque<SegInfo>,
     // Counters.
     /// Segments retransmitted (fast retransmit + RTO).
     pub retransmits: u64,
@@ -121,7 +123,7 @@ impl TcpSender {
             w_max: 0.0,
             epoch_start_ms: None,
             cubic_k: 0.0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             retransmits: 0,
             timeouts: 0,
         }
@@ -174,14 +176,11 @@ impl TcpSender {
         while self.pipe() < self.cwnd as u64 && self.next_seq < self.total_segments {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.inflight.insert(
-                seq,
-                SegInfo {
-                    sent_at_ms: now_ms,
-                    retransmitted: false,
-                    sacked: false,
-                },
-            );
+            self.inflight.push_back(SegInfo {
+                sent_at_ms: now_ms,
+                retransmitted: false,
+                sacked: false,
+            });
             actions.send.push(seq);
         }
         if !actions.send.is_empty() {
@@ -209,7 +208,10 @@ impl TcpSender {
         // SACK scoreboard update: the echoed segment reached the peer.
         if let Some(e) = echo {
             if e >= ack {
-                if let Some(info) = self.inflight.get_mut(&e) {
+                if let Some(info) = self
+                    .scoreboard_slot(e)
+                    .and_then(|i| self.inflight.get_mut(i))
+                {
                     if !info.sacked {
                         info.sacked = true;
                         self.sacked_count += 1;
@@ -221,21 +223,16 @@ impl TcpSender {
         if ack > self.snd_una {
             // New data acknowledged.
             let newly_acked = ack - self.snd_una;
+            let newly_acked_len = newly_acked as usize;
             // RTT sample from the highest newly-acked, non-retransmitted
             // segment (Karn's algorithm).
-            if let Some(info) = self.inflight.get(&(ack - 1)) {
+            if let Some(info) = self.inflight.get(newly_acked_len - 1) {
                 if !info.retransmitted {
                     self.rtt_sample(now_ms - info.sent_at_ms);
                 }
             }
-            let to_remove: Vec<u64> = self.inflight.range(..ack).map(|(&s, _)| s).collect();
-            for s in to_remove {
-                if let Some(info) = self.inflight.remove(&s) {
-                    if info.sacked {
-                        self.sacked_count -= 1;
-                    }
-                }
-            }
+            let acked = self.inflight.drain(..newly_acked_len);
+            self.sacked_count -= acked.filter(|i| i.sacked).count() as u64;
             self.snd_una = ack;
             self.dup_acks = 0;
             self.backoff = 0;
@@ -275,12 +272,16 @@ impl TcpSender {
         actions
     }
 
+    /// Scoreboard index of in-flight segment `seq`, if it is in flight.
+    fn scoreboard_slot(&self, seq: u64) -> Option<usize> {
+        let i = usize::try_from(seq.checked_sub(self.snd_una)?).ok()?;
+        (i < self.inflight.len()).then_some(i)
+    }
+
     /// Number of SACKed in-flight segments with sequence greater than `s`.
     fn sacked_above(&self, s: u64) -> u64 {
-        self.inflight
-            .range(s + 1..)
-            .filter(|(_, i)| i.sacked)
-            .count() as u64
+        let skip = (s + 1).saturating_sub(self.snd_una) as usize;
+        self.inflight.iter().skip(skip).filter(|i| i.sacked).count() as u64
     }
 
     /// Handles an RTO firing at `now_ms`.
@@ -309,19 +310,24 @@ impl TcpSender {
     /// NewReno partial-ACK repair.
     fn sack_retransmit(&mut self, now_ms: f64, actions: &mut SenderActions) {
         // The third-highest SACKed sequence bounds what can be lost.
-        let mut sacked_iter = self
-            .inflight
-            .range(..self.recovery_high)
+        // Scoreboard indices below are offsets from `snd_una`.
+        let una = self.snd_una;
+        let below_high = self.recovery_high.saturating_sub(una) as usize;
+        let scoreboard = self.inflight.iter().enumerate();
+        let mut sacked = scoreboard
+            .clone()
+            .take(below_high)
             .rev()
-            .filter(|(_, i)| i.sacked)
-            .map(|(&s, _)| s);
-        let third = sacked_iter.nth(2);
-        let Some(limit) = third else { return };
-        let candidate = self
-            .inflight
-            .range(self.rtx_next..limit)
+            .filter(|(_, i)| i.sacked);
+        let Some((limit, _)) = sacked.nth(2) else {
+            return;
+        };
+        let from = self.rtx_next.saturating_sub(una) as usize;
+        let candidate = scoreboard
+            .take(limit)
+            .skip(from)
             .find(|(_, info)| !info.retransmitted && !info.sacked)
-            .map(|(&s, _)| s);
+            .map(|(k, _)| una + k as u64);
         if let Some(seq) = candidate {
             self.rtx_next = seq + 1;
             self.retransmit(seq, now_ms, actions);
@@ -346,19 +352,16 @@ impl TcpSender {
         self.cwnd = self.ssthresh;
     }
 
+    /// Resends in-flight segment `seq`; every caller picks one from the
+    /// scoreboard.
     fn retransmit(&mut self, seq: u64, now_ms: f64, actions: &mut SenderActions) {
-        if let Some(info) = self.inflight.get_mut(&seq) {
+        let info = self
+            .scoreboard_slot(seq)
+            .and_then(|i| self.inflight.get_mut(i));
+        debug_assert!(info.is_some(), "segment {seq} is not in flight");
+        if let Some(info) = info {
             info.retransmitted = true;
             info.sent_at_ms = now_ms;
-        } else {
-            self.inflight.insert(
-                seq,
-                SegInfo {
-                    sent_at_ms: now_ms,
-                    retransmitted: true,
-                    sacked: false,
-                },
-            );
         }
         self.retransmits += 1;
         actions.send.push(seq);
@@ -433,18 +436,19 @@ impl TcpSender {
         if self.cwnd < self.ssthresh && rtt_ms > self.min_rtt_ms * 1.25 + 4.0 {
             self.ssthresh = self.cwnd;
         }
-        match self.srtt_ms {
+        let srtt = match self.srtt_ms {
             None => {
-                self.srtt_ms = Some(rtt_ms);
                 self.rttvar_ms = rtt_ms / 2.0;
+                rtt_ms
             }
             Some(srtt) => {
                 let err = rtt_ms - srtt;
                 self.rttvar_ms = 0.75 * self.rttvar_ms + 0.25 * err.abs();
-                self.srtt_ms = Some(srtt + 0.125 * err);
+                srtt + 0.125 * err
             }
-        }
-        let base = self.srtt_ms.expect("just set") + 4.0 * self.rttvar_ms;
+        };
+        self.srtt_ms = Some(srtt);
+        let base = srtt + 4.0 * self.rttvar_ms;
         self.rto_ms = base.clamp(MIN_RTO_MS, MAX_RTO_MS) * f64::from(1 << self.backoff.min(6));
     }
 

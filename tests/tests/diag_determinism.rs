@@ -80,6 +80,30 @@ fn diag_report_survives_checkpoint_resume() {
     assert_eq!(report(&mut full), report(&mut resumed));
 }
 
+/// FNV-1a 64 over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// The default-seed suite report is pinned byte for byte, packet-level
+/// cross-check (`packet_check_mbps`) included, so a change anywhere from
+/// the campaign to the TCP simulator that moves a single output bit
+/// fails here rather than only in the benchmark.
+#[test]
+fn diag_suite_report_is_pinned() {
+    let json = serde_json::to_string(&run_suite(&DiagConfig::new(42), None).to_json());
+    let h = fnv1a(json.as_bytes());
+    assert_eq!(
+        h, 0xa233_44ec_3874_f458,
+        "diag report bytes changed: {h:#018x}"
+    );
+}
+
 /// The injected link really is localized: the acceptance bar for the
 /// scenario suite (top-1 hit rate ≥ 0.8, mitigation ranking agreeing
 /// with the replay) holds on the default seed.
