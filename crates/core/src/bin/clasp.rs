@@ -724,9 +724,8 @@ fn main() {
                 s.events_seen, s.points_matched, s.days_closed, s.labels_emitted
             );
             println!(
-                "health: {} out-of-order, {} duplicates, {} gap-hours, \
-                 {} late-dropped, {} bus-dropped",
-                s.out_of_order, s.duplicates, s.gap_hours, s.late_dropped, s.bus_overflow
+                "health: {} out-of-order, {} duplicates, {} gap-hours, {} late-dropped",
+                s.out_of_order, s.duplicates, s.gap_hours, s.late_dropped
             );
             let h = engine.threshold();
             println!(

@@ -474,28 +474,11 @@ impl<'w> Campaign<'w> {
         let base_cron = CronSchedule::new(self.config.seed ^ 0xc407);
         let fplan = &self.config.fault_plan;
         let mut db = Db::new();
-        // Streaming: a bounded tail mirrors every insert to the engine,
-        // which only ever sees the merged, canonically-ordered point
-        // stream. On resume the engine's replay cursor (`events_seen`)
-        // skips the points re-ingested from completed units' bucket
-        // snapshots, so the engine sees each point exactly once across
-        // interruptions.
-        let tail = stream
-            .as_deref_mut()
-            .map(|engine| db.subscribe(engine.config().bus_capacity));
+        // Streaming: the engine is fed each row ingest stores, in the
+        // merged canonical order. On resume its cursor (`events_seen`)
+        // skips rows replayed from completed units, so it sees each row
+        // once across interruptions.
         let mut replay_skip = stream.as_deref().map_or(0, |engine| engine.events_seen());
-        let mut drain = |stream: &mut Option<&mut clasp_stream::StreamEngine>| {
-            if let (Some(tail), Some(engine)) = (tail.as_ref(), stream.as_deref_mut()) {
-                tail.drain(|p| {
-                    if replay_skip > 0 {
-                        replay_skip -= 1;
-                    } else {
-                        engine.ingest(&p);
-                    }
-                });
-                engine.record_bus_overflow(tail.overflow());
-            }
-        };
         let st = ResumeState::load(resume)?;
         let mut vm_count = st.vm_count;
         let mut tests_run = st.tests_run;
@@ -829,12 +812,20 @@ impl<'w> Campaign<'w> {
             // unit bucket: its `raw/` listing is lexicographic, so the
             // ingest order (and the order the stream engine consumes)
             // does not depend on the job count.
-            let stats = pipeline::ingest_streaming(&bucket, &mut db, |key, n| {
-                if let Some(obs) = observer {
-                    record_collected(obs, label, key, n);
-                }
-            });
-            drain(&mut stream);
+            let stats = pipeline::ingest_streaming(
+                &bucket,
+                &mut db,
+                |key, n| {
+                    if let Some(obs) = observer {
+                        record_collected(obs, label, key, n);
+                    }
+                },
+                |id, series, time, fields| match stream.as_deref_mut() {
+                    Some(_) if replay_skip > 0 => replay_skip -= 1,
+                    Some(engine) => engine.ingest_row(id, series, time, fields),
+                    None => {}
+                },
+            );
             raw_objects += stats.objects;
             if let Some(obs) = observer {
                 obs.with_metrics(|m| {

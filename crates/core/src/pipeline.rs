@@ -8,15 +8,16 @@
 //! There is one ingest path, [`ingest_streaming`], at every job count
 //! and on resume: objects go into the store one at a time, in bucket
 //! listing order, each unpacked into one reused buffer and read by
-//! [`Db::ingest_lines`], which reads the campaign's lines straight into
-//! the interned series and keeps a malformed object out of the store
-//! entirely.
+//! [`Db::ingest_lines_with`], which reads the campaign's lines straight
+//! into the interned series, keeps a malformed object out of the store
+//! entirely, and shows each stored row to the caller (a streaming
+//! campaign feeds them to its engine).
 
 use cloudsim::bucket::Bucket;
 use simnet::routing::Tier;
 use simnet::time::SimTime;
 use speedtest::client::TestResult;
-use tsdb::{Db, Point};
+use tsdb::{Db, FieldSet, Point, Series, SeriesId};
 
 /// Converts one test result into its storable point.
 pub fn result_to_point(r: &TestResult, region: &str, method: &str) -> Point {
@@ -152,17 +153,19 @@ pub fn upload_batch_resilient(
 /// in `errors`, with the offending key and line recorded in
 /// [`IngestStats::error_objects`]) without poisoning the rest.
 pub fn ingest(bucket: &Bucket, db: &mut Db) -> IngestStats {
-    ingest_streaming(bucket, db, |_, _| {})
+    ingest_streaming(bucket, db, |_, _| {}, |_, _, _, _| {})
 }
 
 /// Streaming [`ingest`]: indexes objects one at a time, in bucket
-/// listing order, calling `on_object(key, n_points)` for each
-/// successfully parsed object. At most one object's rows are staged at
-/// once, and a malformed object leaves the database untouched.
+/// listing order, showing each stored row to `on_row` (see
+/// [`Db::ingest_lines_with`]) and calling `on_object(key, n_points)`
+/// for each successfully parsed object. At most one object's rows are
+/// staged at once, and a malformed object leaves the database untouched.
 pub fn ingest_streaming(
     bucket: &Bucket,
     db: &mut Db,
     mut on_object: impl FnMut(&str, u64),
+    mut on_row: impl FnMut(SeriesId, &Series, u64, &FieldSet),
 ) -> IngestStats {
     let mut stats = IngestStats::default();
     let mut text = String::new();
@@ -173,7 +176,7 @@ pub fn ingest_streaming(
         obj.data.unpack_into(&mut text);
         stats.raw_bytes += text.len() as u64;
         stats.packed_bytes += obj.data.packed_len() as u64;
-        match db.ingest_lines(&text) {
+        match db.ingest_lines_with(&text, &mut on_row) {
             Ok(got) => {
                 stats.points += got.points;
                 stats.fallback_lines += got.fallback_lines;

@@ -51,9 +51,9 @@ impl<'c, 'w> Runner<'c, 'w> {
         self
     }
 
-    /// Attaches a streaming detection engine: it consumes every
-    /// ingested point as it lands and is finalized when the run
-    /// completes. Checkpoints embed the engine snapshot under
+    /// Attaches a streaming detection engine: ingest feeds it each row
+    /// as it stores it (no buffer, so nothing is dropped), and it is
+    /// finalized when the run completes. Checkpoints embed the engine snapshot under
     /// `"stream"`. When resuming, the engine must come from
     /// [`Campaign::restore_stream_engine`] on the same checkpoint.
     pub fn streaming(mut self, engine: &'c mut clasp_stream::StreamEngine) -> Self {
@@ -126,11 +126,7 @@ fn record_result(obs: &Observer, result: &CampaignResult) {
         m.set_gauge("billing.total_usd", result.billing.total_usd());
         m.set_gauge("tsdb.points_written", result.db.points_written as f64);
         m.set_gauge("tsdb.series", result.db.series_count() as f64);
-        let db = &result.db.stats;
-        m.inc("tsdb.insert_batches", db.insert_batches);
-        m.inc("tsdb.points_published", db.points_published);
-        m.inc("tsdb.tail_peak_depth", db.tail_peak_depth);
-        m.inc("tsdb.tail_overflow", db.tail_overflow);
+        m.inc("tsdb.insert_batches", result.db.stats.insert_batches);
         let f = result.fault_log.summary();
         m.inc("fault.injected", f.total as u64);
         m.inc("fault.recovered", f.recovered as u64);
@@ -155,6 +151,5 @@ fn record_engine(obs: &Observer, engine: &clasp_stream::StreamEngine) {
         m.inc("stream.duplicates", s.duplicates);
         m.inc("stream.gap_hours", s.gap_hours);
         m.inc("stream.late_dropped", s.late_dropped);
-        m.inc("stream.bus_overflow", s.bus_overflow);
     });
 }

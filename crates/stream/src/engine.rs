@@ -1,9 +1,10 @@
 //! The incremental congestion-detection engine.
 //!
-//! One [`StreamEngine`] consumes a stream of [`Point`]s (usually drained
-//! from a [`tsdb::Tail`] subscription) and maintains per-series daily
-//! windows, hourly labels, the online elbow recalibration and the alert
-//! state machines. Every per-point update is O(1) amortized: a daily
+//! One [`StreamEngine`] consumes a stream of samples — the rows a
+//! campaign ingests ([`StreamEngine::ingest_row`]) or standalone
+//! [`Point`]s ([`StreamEngine::ingest`]) — and maintains per-series
+//! daily windows, hourly labels, the online elbow recalibration and the
+//! alert state machines. Every per-point update is O(1) amortized: a daily
 //! window appends the point and folds its extrema once at day close, the
 //! live window uses monotonic deques, and the elbow histogram is touched
 //! once per *series-day*, not per point.
@@ -18,7 +19,7 @@ use crate::alert::{AlertPolicy, AlertState, CongestionAlert};
 use clasp_stats::{DayWindow, HourTally, SlidingExtrema, StreamingElbow};
 use simnet::time::{SimTime, HOUR, SECONDS_PER_DAY};
 use std::collections::BTreeMap;
-use tsdb::Point;
+use tsdb::{FieldSet, Point, Series, SeriesId};
 
 /// How the congestion threshold `H` is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +38,8 @@ pub enum ThresholdMode {
     },
 }
 
-/// Engine configuration.
+/// Engine configuration: what to analyze and how. A streaming campaign
+/// feeds the engine every row it ingests, with no buffer in between.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Measurement to consume (the campaign writes `"speedtest"`).
@@ -59,9 +61,6 @@ pub struct EngineConfig {
     pub live_window_secs: u64,
     /// Alerting policy.
     pub alert: AlertPolicy,
-    /// Capacity of the [`tsdb::Tail`] bus the campaign subscribes for
-    /// this engine; sized to hold the largest single-unit ingest burst.
-    pub bus_capacity: usize,
 }
 
 impl EngineConfig {
@@ -77,9 +76,6 @@ impl EngineConfig {
             grace_days: 1,
             live_window_secs: SECONDS_PER_DAY,
             alert: AlertPolicy::default(),
-            // The paper's largest unit (us-east1: 184 servers × 153
-            // days × 24 h ≈ 676 k points) fits with headroom.
-            bus_capacity: 1 << 20,
         }
     }
 }
@@ -140,7 +136,7 @@ pub struct HourLabel {
 /// Stream-health and throughput counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Points offered to [`StreamEngine::ingest`] (matched or not).
+    /// Points or rows offered to the engine (matched or not).
     pub events_seen: u64,
     /// Points that matched measurement, filters and field.
     pub points_matched: u64,
@@ -160,9 +156,6 @@ pub struct EngineStats {
     /// because re-opening would retract emitted labels. Zero whenever
     /// reordering stays within `grace_days` (campaign streams do).
     pub late_dropped: u64,
-    /// Points the bus dropped on overflow (reported by the campaign
-    /// driver); non-zero means the stream view is incomplete.
-    pub bus_overflow: u64,
     /// Matched points appended to an open daily window.
     pub window_updates: u64,
     /// Day closes where the auto-threshold sweep was consulted (always
@@ -209,6 +202,16 @@ impl SeriesState {
     }
 }
 
+/// Where the rows of one [`tsdb::Db`] series go: nowhere (another
+/// measurement or a filter miss) or to one engine series. `Unresolved`
+/// until the series' first row that carries the field.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Unresolved,
+    Skip,
+    Series(usize),
+}
+
 /// The streaming congestion-detection engine.
 #[derive(Debug)]
 pub struct StreamEngine {
@@ -224,6 +227,8 @@ pub struct StreamEngine {
     pub(crate) alerts: Vec<CongestionAlert>,
     pub(crate) stats: EngineStats,
     pub(crate) finalized: bool,
+    /// Per Db series id (not snapshotted: a restored engine re-resolves).
+    routes: Vec<Route>,
 }
 
 impl StreamEngine {
@@ -233,8 +238,7 @@ impl StreamEngine {
     ///
     /// # Panics
     /// Panics on inconsistent configuration: `sweep_steps < 2`, negative
-    /// `grace_days`, `alert.exit > alert.enter`, `alert.min_hours == 0`
-    /// or a zero `bus_capacity`.
+    /// `grace_days`, `alert.exit > alert.enter` or `alert.min_hours == 0`.
     pub fn new(cfg: EngineConfig, offsets: BTreeMap<String, i32>) -> Self {
         assert!(cfg.sweep_steps >= 2, "sweep needs at least 3 thresholds");
         assert!(cfg.grace_days >= 0, "grace_days must be non-negative");
@@ -243,7 +247,6 @@ impl StreamEngine {
             "alert exit threshold must not exceed the enter threshold"
         );
         assert!(cfg.alert.min_hours >= 1, "alert debounce needs ≥ 1 hour");
-        assert!(cfg.bus_capacity > 0, "bus capacity must be positive");
         let current_h = match cfg.threshold {
             ThresholdMode::Fixed(h) => h,
             ThresholdMode::Auto { initial, .. } => initial,
@@ -262,12 +265,8 @@ impl StreamEngine {
             alerts: Vec::new(),
             stats: EngineStats::default(),
             finalized: false,
+            routes: Vec::new(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
     }
 
     /// Feeds one point. Non-matching points only bump `events_seen`.
@@ -277,56 +276,98 @@ impl StreamEngine {
     pub fn ingest(&mut self, p: &Point) {
         assert!(!self.finalized, "StreamEngine::ingest after finalize");
         self.stats.events_seen += 1;
-        if p.measurement != self.cfg.measurement {
-            return;
-        }
-        if !self
-            .cfg
-            .filters
-            .iter()
-            .all(|(k, v)| p.tags.get(k).is_some_and(|tv| tv == v))
-        {
+        if !self.wants_series(&p.measurement, &p.tags) {
             return;
         }
         let Some(&value) = p.fields.get(&self.cfg.field) else {
             return;
         };
-        self.stats.points_matched += 1;
-        let idx = self.series_index(p);
-        let day = SimTime(p.time).local_day(self.states[idx].utc_offset);
+        let idx = self.series_index(p.series_key(), &p.tags);
+        self.ingest_sample(idx, p.time, value);
+    }
 
+    /// [`Self::ingest`] of a stored row, as [`tsdb::Db::ingest_lines_with`]
+    /// shows it. Measurement, filters and registration are resolved once
+    /// per series and cached by `id`, so all rows must come from one Db.
+    pub fn ingest_row(&mut self, id: SeriesId, series: &Series, time: u64, fields: &FieldSet) {
+        assert!(!self.finalized, "StreamEngine::ingest after finalize");
+        self.stats.events_seen += 1;
+        let Some(&value) = fields.get(&self.cfg.field) else {
+            return;
+        };
+        let slot = id.0 as usize;
+        let route = match self.routes.get(slot) {
+            Some(&Route::Unresolved) | None => {
+                let route = if self.wants_series(&series.measurement, &series.tags) {
+                    Route::Series(self.series_index(series.key(), &series.tags))
+                } else {
+                    Route::Skip
+                };
+                self.routes
+                    .resize(self.routes.len().max(slot + 1), Route::Unresolved);
+                if let Some(r) = self.routes.get_mut(slot) {
+                    *r = route;
+                }
+                route
+            }
+            Some(&route) => route,
+        };
+        if let Route::Series(idx) = route {
+            self.ingest_sample(idx, time, value);
+        }
+    }
+
+    /// True when samples of this measurement and tag set are analyzed.
+    fn wants_series(&self, measurement: &str, tags: &BTreeMap<String, String>) -> bool {
+        measurement == self.cfg.measurement
+            && self
+                .cfg
+                .filters
+                .iter()
+                .all(|(k, v)| tags.get(k).is_some_and(|tv| tv == v))
+    }
+
+    /// Folds one matched sample of engine series `idx` into its daily
+    /// window, closing the days that fall `grace_days` behind.
+    fn ingest_sample(&mut self, idx: usize, time: u64, value: f64) {
+        self.stats.points_matched += 1;
         let Self {
             states, stats, cfg, ..
         } = self;
-        let st = &mut states[idx];
+        let Some(st) = states.get_mut(idx) else {
+            return;
+        };
+        let day = SimTime(time).local_day(st.utc_offset);
 
         // Stream-health accounting: fault-injected campaigns legitimately
         // deliver gaps (lost hours) and small reorderings (retries).
         match st.last_time {
-            Some(lt) if p.time < lt => stats.out_of_order += 1,
-            Some(lt) if p.time == lt => stats.duplicates += 1,
-            Some(lt) if p.time >= lt + 2 * HOUR => stats.gap_hours += (p.time - lt) / HOUR - 1,
+            Some(lt) if time < lt => stats.out_of_order += 1,
+            Some(lt) if time == lt => stats.duplicates += 1,
+            Some(lt) if time >= lt + 2 * HOUR => stats.gap_hours += (time - lt) / HOUR - 1,
             _ => {}
         }
-        st.last_time = Some(st.last_time.map_or(p.time, |lt| lt.max(p.time)));
+        st.last_time = Some(st.last_time.map_or(time, |lt| lt.max(time)));
 
         // Advisory live window (rejects out-of-order pushes internally).
-        st.live.push(p.time, value);
+        st.live.push(time, value);
 
         if day <= st.closed_through {
             stats.late_dropped += 1;
             return;
         }
-        st.open.entry(day).or_default().push(p.time, value);
+        st.open.entry(day).or_default().push(time, value);
         stats.window_updates += 1;
 
         if day > st.max_day {
             st.max_day = day;
             let horizon = day - cfg.grace_days;
-            let ready: Vec<i64> = st.open.range(..horizon).map(|(&d, _)| d).collect();
-            for d in ready {
-                let w = self.states[idx].open.remove(&d).expect("day listed");
-                self.states[idx].closed_through = d;
+            while let Some(st) = self.states.get_mut(idx) {
+                let Some(ready) = st.open.first_entry().filter(|e| *e.key() < horizon) else {
+                    break;
+                };
+                let (d, w) = ready.remove_entry();
+                st.closed_through = d;
                 self.close_day(idx, d, w);
             }
         }
@@ -377,20 +418,20 @@ impl StreamEngine {
         }
     }
 
-    /// Looks the series of `p` up, registering it on first sight (same
+    /// Looks a series up by key, registering it on first sight (same
     /// enumeration order as the Db, since both follow first insertion).
-    fn series_index(&mut self, p: &Point) -> usize {
-        let key = p.series_key();
+    fn series_index(&mut self, key: &str, tags: &BTreeMap<String, String>) -> usize {
         if let Some(&i) = self.index.get(key) {
             return i as usize;
         }
-        let server = p.tags.get("server").cloned().unwrap_or_default();
+        let tag = |name: &str| tags.get(name).cloned().unwrap_or_default();
+        let server = tag("server");
         let utc_offset = self.offsets.get(&server).copied().unwrap_or(0);
         self.register_series(SeriesMeta {
             key: key.to_string(),
             server,
-            region: p.tags.get("region").cloned().unwrap_or_default(),
-            tier: p.tags.get("tier").cloned().unwrap_or_default(),
+            region: tag("region"),
+            tier: tag("tier"),
             utc_offset,
         })
     }
@@ -528,13 +569,6 @@ impl StreamEngine {
     /// True once [`Self::finalize`] has run.
     pub fn is_finalized(&self) -> bool {
         self.finalized
-    }
-
-    /// Records bus-overflow counts observed by the driver draining the
-    /// tail into this engine (keeps the larger figure, so repeated
-    /// reports of a cumulative counter are safe).
-    pub fn record_bus_overflow(&mut self, dropped: u64) {
-        self.stats.bus_overflow = self.stats.bus_overflow.max(dropped);
     }
 
     /// Fraction of closed s-days with `V(s,d) > h`.
@@ -883,20 +917,5 @@ mod tests {
             min_hours: 1,
         };
         StreamEngine::new(cfg, BTreeMap::new());
-    }
-
-    #[test]
-    fn tail_drain_feeds_engine() {
-        let mut db = tsdb::Db::new();
-        let tail = db.subscribe(64);
-        let mut e = StreamEngine::new(cfg_fixed(0.5), offsets());
-        for h in 0..24u64 {
-            db.insert(point("s1", h * HOUR, 100.0));
-        }
-        tail.drain(|p| e.ingest(&p));
-        e.finalize();
-        assert_eq!(e.stats().events_seen, 24);
-        assert_eq!(e.labels().len(), 24);
-        assert_eq!(tail.overflow(), 0);
     }
 }

@@ -3,9 +3,10 @@
 //! The batch pipeline (`clasp-core`) answers "was this server congested?"
 //! by rescanning the whole time-series database after the campaign ends.
 //! This crate answers the same question *while the campaign runs*: it
-//! consumes [`Point`](tsdb::Point)s as they are produced — via a bounded
-//! [`Tail`](tsdb::Tail) subscription on the [`Db`](tsdb::Db) insert
-//! stream — and maintains, per series:
+//! consumes each row as the campaign stores it — handed over by
+//! [`Db::ingest_lines_with`](tsdb::Db::ingest_lines_with), with no
+//! buffer in between — or standalone [`Point`](tsdb::Point)s, and
+//! maintains, per series:
 //!
 //! * daily windows that give the paper's normalized peak-to-trough
 //!   difference `V(s,d) = (Tmax − Tmin) / Tmax` at O(1) amortized cost

@@ -146,7 +146,6 @@ impl StreamEngine {
         stats.put("duplicates", self.stats.duplicates);
         stats.put("gap_hours", self.stats.gap_hours);
         stats.put("late_dropped", self.stats.late_dropped);
-        stats.put("bus_overflow", self.stats.bus_overflow);
         stats.put("window_updates", self.stats.window_updates);
         stats.put("recalibrations", self.stats.recalibrations);
         stats.put("alert_transitions", self.stats.alert_transitions);
@@ -304,7 +303,6 @@ impl StreamEngine {
         engine.stats.duplicates = su("duplicates")?;
         engine.stats.gap_hours = su("gap_hours")?;
         engine.stats.late_dropped = su("late_dropped")?;
-        engine.stats.bus_overflow = su("bus_overflow")?;
         engine.stats.window_updates = su("window_updates")?;
         engine.stats.recalibrations = su("recalibrations")?;
         engine.stats.alert_transitions = su("alert_transitions")?;

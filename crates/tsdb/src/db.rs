@@ -1,10 +1,11 @@
-//! Storage: series-indexed, time-ordered point store, with an optional
-//! bounded tail for streaming consumers.
+//! Storage: series-indexed, time-ordered point store, with optional
+//! bounded tails for subscribers (the serve layer's subscriptions).
 //!
 //! Points arrive one [`Point`] at a time ([`Db::insert`],
 //! [`Db::insert_batch`]) or as whole line-protocol objects
 //! ([`Db::ingest_lines`]), which are read straight into the interned
-//! series without building `Point`s.
+//! series without building `Point`s; [`Db::ingest_lines_with`] also
+//! shows each stored row to the caller.
 
 use crate::line::{self, ParseError};
 use crate::point::Point;
@@ -301,19 +302,6 @@ struct TailShared {
     handles: usize,
 }
 
-impl TailShared {
-    /// Buffers `p` if there is room; returns whether it was buffered.
-    fn offer(&mut self, p: &Point) -> bool {
-        if self.buf.len() < self.capacity {
-            self.buf.push_back(p.clone());
-            true
-        } else {
-            self.overflow += 1;
-            false
-        }
-    }
-}
-
 /// A bounded subscription to a [`Db`]'s insert stream.
 ///
 /// Every point inserted after [`Db::subscribe`] is appended to the
@@ -344,7 +332,8 @@ impl Tail {
     }
 
     /// Drains every buffered point into `f`, in insert order; returns
-    /// how many were delivered.
+    /// how many were delivered. Subscribers poll with [`Tail::try_recv`].
+    #[cfg(test)]
     pub fn drain(&self, mut f: impl FnMut(Point)) -> u64 {
         let mut n = 0;
         // Take the whole buffer in one lock so `f` runs unlocked.
@@ -451,35 +440,8 @@ impl Db {
         Tail { shared }
     }
 
-    /// Mirrors an inserted point to the live tails.
-    fn publish(&mut self, p: &Point) {
-        if self.tails.is_empty() {
-            return;
-        }
-        let stats = &mut self.stats;
-        self.tails.retain(|weak| {
-            let Some(shared) = weak.upgrade() else {
-                stats.tails_closed += 1;
-                return false;
-            };
-            let mut shared = shared.lock().expect("tail lock");
-            if shared.closed {
-                stats.tails_closed += 1;
-                return false;
-            }
-            if shared.offer(p) {
-                stats.points_published += 1;
-                stats.tail_peak_depth = stats.tail_peak_depth.max(shared.buf.len() as u64);
-            } else {
-                stats.tail_overflow += 1;
-            }
-            true
-        });
-    }
-
-    /// Mirrors a whole batch to the live tails, acquiring each
-    /// subscriber's lock once per batch rather than once per point —
-    /// the per-point order every tail observes is unchanged.
+    /// Mirrors inserted points to the live tails, in order, acquiring
+    /// each subscriber's lock once per call rather than once per point.
     ///
     /// A subscriber whose buffer is already full costs O(1) for the
     /// whole batch (one bulk overflow add) instead of a per-point
@@ -502,7 +464,7 @@ impl Db {
             }
             let free = shared.capacity.saturating_sub(shared.buf.len());
             let take = free.min(points.len());
-            for p in &points[..take] {
+            for p in points.iter().take(take) {
                 // clasp-lint: allow(A001) -- fan-out: every subscriber tail owns its copy of the point
                 shared.buf.push_back(p.clone());
             }
@@ -631,7 +593,7 @@ impl Db {
 
     /// Inserts one point, routing it to its series.
     pub fn insert(&mut self, p: Point) {
-        self.publish(&p);
+        self.publish_batch(std::slice::from_ref(&p));
         let row = self.stage_point(&p);
         self.store(row);
     }
@@ -672,6 +634,17 @@ impl Db {
     /// cannot prove equal to its `decode` reading goes through `decode`
     /// instead, so both paths accept the same lines by construction.
     pub fn ingest_lines(&mut self, text: &str) -> Result<LineIngest, (usize, ParseError)> {
+        self.ingest_lines_with(text, |_, _, _, _| {})
+    }
+
+    /// [`Db::ingest_lines`] that shows each stored row to `visit` as
+    /// `(id, series, time, fields)`, in line order, once the whole
+    /// object has parsed (a rejected object shows none).
+    pub fn ingest_lines_with(
+        &mut self,
+        text: &str,
+        mut visit: impl FnMut(SeriesId, &Series, u64, &FieldSet),
+    ) -> Result<LineIngest, (usize, ParseError)> {
         let registered = self.series.len();
         let mut rows = Vec::new();
         let mut fields = Vec::new();
@@ -713,8 +686,11 @@ impl Db {
             self.publish_batch(&points);
         }
         let points = rows.len() as u64;
-        for row in rows {
-            self.store(row);
+        for (i, time, set) in rows {
+            if let (Some(s), Ok(id)) = (self.series.get(i), u32::try_from(i)) {
+                visit(SeriesId(id), s, time, &set);
+            }
+            self.store((i, time, set));
         }
         Ok(LineIngest {
             points,

@@ -46,8 +46,8 @@ fn main() {
         s.events_seen, s.points_matched, s.days_closed, s.labels_emitted
     );
     println!(
-        "health   : {} out-of-order, {} duplicates, {} gap-hours, {} late, {} bus-dropped",
-        s.out_of_order, s.duplicates, s.gap_hours, s.late_dropped, s.bus_overflow
+        "health   : {} out-of-order, {} duplicates, {} gap-hours, {} late",
+        s.out_of_order, s.duplicates, s.gap_hours, s.late_dropped
     );
     let fs = result.fault_log.summary();
     println!(

@@ -47,7 +47,6 @@ fn assert_labels_match(world_seed: u64, plan: FaultPlan) -> Result<(), TestCaseE
     );
 
     prop_assert_eq!(engine.stats().late_dropped, 0);
-    prop_assert_eq!(engine.stats().bus_overflow, 0);
     prop_assert_eq!(engine.day_records().len(), analysis.day_vars.len());
     for (d, b) in engine.day_records().iter().zip(&analysis.day_vars) {
         prop_assert_eq!(d.local_day, b.local_day);
