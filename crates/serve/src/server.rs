@@ -1,5 +1,7 @@
 //! The service: sequenced ingest staging, epoch publishing, cached
-//! reads, and tail subscriptions over one [`tsdb::Db`].
+//! reads, and tail subscriptions over one [`tsdb::Db`]. Tails are
+//! serve's own bounded buffers, filled at the publish barrier with the
+//! batches it applies, in the order it applies them.
 //!
 //! ## Lock order
 //!
@@ -28,9 +30,9 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::congestion::CongestionSpec;
 use crate::proto::{self, QuerySpec, Request};
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
-use tsdb::{Db, Point, Snapshot, Tail};
+use tsdb::{Db, Point, Snapshot};
 
 /// Identity and sizing for one [`Server`].
 #[derive(Debug, Clone, Copy)]
@@ -69,10 +71,56 @@ struct Writer {
     staged_points: u64,
 }
 
-/// Open tail subscriptions, addressed by server-assigned id.
+/// Open tail subscriptions, addressed by server-assigned id, and the
+/// tail accounting `stats` reports under `db`.
+///
+/// A tail is bounded: once its consumer falls `capacity` points behind,
+/// further applied points are counted as overflow instead of buffered.
+/// The publisher never blocks and never reorders, so a lagging consumer
+/// sees a gap, knows its exact size, and can fall back to a query.
+#[derive(Default)]
 struct TailRegistry {
     next_id: u64,
-    tails: BTreeMap<u64, Tail>,
+    tails: BTreeMap<u64, TailBuffer>,
+    counts: TailCounts,
+}
+
+/// Tail accounting, all monotonic.
+#[derive(Debug, Clone, Copy, Default)]
+struct TailCounts {
+    /// Points buffered into tails (excludes overflow).
+    published: u64,
+    /// Deepest any buffer has been after a publish (a high-water mark).
+    peak_depth: u64,
+    /// Points lost to backpressure across all tails.
+    overflow: u64,
+    opened: u64,
+    closed: u64,
+}
+
+/// One subscription: applied points not yet polled, and an overflow
+/// tally.
+struct TailBuffer {
+    buf: VecDeque<Point>,
+    capacity: usize,
+    overflow: u64,
+}
+
+impl TailRegistry {
+    /// Mirrors one applied batch into every buffer, in order. A buffer
+    /// that is already full takes one bulk overflow add for the batch.
+    fn mirror(&mut self, points: &[Point]) {
+        for t in self.tails.values_mut() {
+            let take = t.capacity.saturating_sub(t.buf.len()).min(points.len());
+            t.buf.extend(points.iter().take(take).cloned());
+            let spill = (points.len() - take) as u64;
+            t.overflow += spill;
+            let c = &mut self.counts;
+            c.overflow += spill;
+            c.published += take as u64;
+            c.peak_depth = c.peak_depth.max(t.buf.len() as u64);
+        }
+    }
 }
 
 /// Request counters, all monotonic.
@@ -134,7 +182,7 @@ impl Server {
             cache: Mutex::new(QueryCache::new(cfg.cache_capacity)),
             tails: Mutex::new(TailRegistry {
                 next_id: 1,
-                tails: BTreeMap::new(),
+                ..TailRegistry::default()
             }),
             counters: Mutex::new(Counters::default()),
         }
@@ -168,8 +216,8 @@ impl Server {
         }
         let n = points.len() as u64;
         per_client.insert(seq, points);
+        let staged: u64 = per_client.values().map(|b| b.len() as u64).sum();
         w.staged_points += n;
-        let staged: u64 = w.staged[client].values().map(|b| b.len() as u64).sum();
         self.count(|c| {
             c.ingest_batches += 1;
             c.ingest_points += n;
@@ -178,8 +226,9 @@ impl Server {
     }
 
     /// Applies every staged batch that is next in its client's
-    /// sequence — in canonical `(client, seq)` order — then publishes
-    /// a new snapshot. Batches behind a sequence gap stay staged.
+    /// sequence — in canonical `(client, seq)` order, mirroring each
+    /// into the open tails — then publishes a new snapshot. Batches
+    /// behind a sequence gap stay staged.
     pub fn publish(&self) -> PublishInfo {
         let mut w = self.lock_writer();
         let mut applied_batches = 0u64;
@@ -196,6 +245,7 @@ impl Server {
                 applied_batches += 1;
                 applied_points += batch.len() as u64;
                 w.staged_points -= batch.len() as u64;
+                self.tails.lock().expect("tails lock").mirror(&batch);
                 // clasp-lint: allow(C002) -- in-memory publish barrier: the writer mutex is the intended serialization point, not I/O
                 w.db.insert_batch(batch);
                 w.next_seq.insert(client.clone(), next + 1);
@@ -289,7 +339,8 @@ impl Server {
 
     /// Opens a bounded tail over the ingest stream and returns its id.
     /// Points mirrored into the tail are those *applied* at publish
-    /// barriers (staged points are not yet visible anywhere).
+    /// barriers (staged points are not yet visible anywhere). Holding
+    /// the writer lock means a tail never sees part of a publish.
     pub fn subscribe(&self, capacity: usize) -> Result<u64, String> {
         if capacity == 0 {
             return Err("capacity must be positive".into());
@@ -300,11 +351,19 @@ impl Server {
                 self.cfg.max_tail_capacity
             ));
         }
-        let tail = self.lock_writer().db.subscribe(capacity);
+        let w = self.lock_writer();
         let mut reg = self.tails.lock().expect("tails lock");
         let id = reg.next_id;
         reg.next_id += 1;
+        reg.counts.opened += 1;
+        let tail = TailBuffer {
+            buf: VecDeque::new(),
+            capacity,
+            overflow: 0,
+        };
         reg.tails.insert(id, tail);
+        drop(reg);
+        drop(w);
         self.count(|c| c.subscribes += 1);
         Ok(id)
     }
@@ -312,50 +371,42 @@ impl Server {
     /// Drains up to `max` buffered points from subscription `tail`.
     /// Returns the points plus `(overflow, remaining)` accounting.
     pub fn poll(&self, tail: u64, max: usize) -> Result<(Vec<Point>, u64, usize), String> {
-        let handle = {
-            let reg = self.tails.lock().expect("tails lock");
-            reg.tails
-                .get(&tail)
-                .cloned()
-                .ok_or_else(|| format!("unknown tail {tail}"))?
-        };
-        let mut points = Vec::new();
-        while points.len() < max {
-            let Some(p) = handle.try_recv() else { break };
-            points.push(p);
-        }
+        let mut reg = self.tails.lock().expect("tails lock");
+        let t = reg
+            .tails
+            .get_mut(&tail)
+            .ok_or_else(|| format!("unknown tail {tail}"))?;
+        let points: Vec<Point> = t.buf.drain(..max.min(t.buf.len())).collect();
+        let (overflow, remaining) = (t.overflow, t.buf.len());
+        drop(reg);
         let n = points.len() as u64;
         self.count(|c| {
             c.polls += 1;
             c.poll_points += n;
         });
-        Ok((points, handle.overflow(), handle.len()))
+        Ok((points, overflow, remaining))
     }
 
-    /// Closes subscription `tail`. The publisher prunes it on the next
-    /// publish; its backpressure accounting stops immediately.
+    /// Closes subscription `tail`: its buffer and its accounting go
+    /// at once.
     pub fn unsubscribe(&self, tail: u64) -> Result<(), String> {
         let mut reg = self.tails.lock().expect("tails lock");
-        match reg.tails.remove(&tail) {
-            // Dropping the handle closes the subscription (the registry
-            // holds the only clone unless a poll is mid-flight, and a
-            // mid-flight clone closes it on its own drop).
-            Some(_) => {
-                drop(reg);
-                self.count(|c| c.unsubscribes += 1);
-                Ok(())
-            }
-            None => Err(format!("unknown tail {tail}")),
+        if reg.tails.remove(&tail).is_none() {
+            return Err(format!("unknown tail {tail}"));
         }
+        reg.counts.closed += 1;
+        drop(reg);
+        self.count(|c| c.unsubscribes += 1);
+        Ok(())
     }
 
     /// Canonical stats object: request counters, cache behaviour,
     /// database ingest/tail accounting, and the published generation.
     pub fn stats(&self) -> Value {
-        let (db_stats, points_written, staged_points, staged_batches) = {
+        let (insert_batches, points_written, staged_points, staged_batches) = {
             let w = self.lock_writer();
             (
-                w.db.stats,
+                w.db.stats.insert_batches,
                 w.db.points_written,
                 w.staged_points,
                 w.staged.values().map(|m| m.len() as u64).sum::<u64>(),
@@ -366,7 +417,10 @@ impl Server {
         // declaration keeps the invariant easy to audit).
         let generation = self.snapshot().generation();
         let cache = self.cache.lock().expect("cache lock").stats();
-        let open_tails = self.tails.lock().expect("tails lock").tails.len() as u64;
+        let (open_tails, t) = {
+            let reg = self.tails.lock().expect("tails lock");
+            (reg.tails.len() as u64, reg.counts)
+        };
         let c = *self.counters.lock().expect("counters lock");
 
         let mut m = Map::new();
@@ -395,12 +449,12 @@ impl Server {
         m.insert("cache".into(), Value::Object(cm));
         let mut dm = Map::new();
         dm.insert("points_written".into(), points_written.into());
-        dm.insert("insert_batches".into(), db_stats.insert_batches.into());
-        dm.insert("points_published".into(), db_stats.points_published.into());
-        dm.insert("tail_peak_depth".into(), db_stats.tail_peak_depth.into());
-        dm.insert("tail_overflow".into(), db_stats.tail_overflow.into());
-        dm.insert("tails_opened".into(), db_stats.tails_opened.into());
-        dm.insert("tails_closed".into(), db_stats.tails_closed.into());
+        dm.insert("insert_batches".into(), insert_batches.into());
+        dm.insert("points_published".into(), t.published.into());
+        dm.insert("tail_peak_depth".into(), t.peak_depth.into());
+        dm.insert("tail_overflow".into(), t.overflow.into());
+        dm.insert("tails_opened".into(), t.opened.into());
+        dm.insert("tails_closed".into(), t.closed.into());
         m.insert("db".into(), Value::Object(dm));
         Value::Object(m)
     }
@@ -408,12 +462,6 @@ impl Server {
     /// Response-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.lock().expect("cache lock").stats()
-    }
-
-    /// Ingest-side database stats (tail backpressure accounting lives
-    /// here: `tail_overflow`, `tail_peak_depth`).
-    pub fn db_stats(&self) -> tsdb::DbStats {
-        self.lock_writer().db.stats
     }
 
     /// Pushes `serve.*` counters and gauges into an observer's metrics
@@ -693,7 +741,7 @@ mod tests {
         assert_eq!(points.len(), 2, "bounded buffer");
         assert_eq!(overflow, 3, "the rest was counted, not buffered");
         assert_eq!(remaining, 0);
-        assert_eq!(s.db_stats().tail_overflow, 3);
+        assert_eq!(db_stat(&s, "tail_overflow"), 3);
         s.unsubscribe(id).unwrap();
         assert!(s.poll(id, 1).is_err());
         // Accounting stops once unsubscribed: further publishes add no
@@ -701,8 +749,149 @@ mod tests {
         s.ingest("c", 1, (5..10).map(|t| point("a", t, 1.0)).collect())
             .unwrap();
         s.publish();
-        assert_eq!(s.db_stats().tail_overflow, 3);
-        assert_eq!(s.db_stats().tails_closed, 1);
+        assert_eq!(db_stat(&s, "tail_overflow"), 3);
+        assert_eq!(db_stat(&s, "tails_closed"), 1);
+    }
+
+    /// One member of the `db` section of [`Server::stats`].
+    fn db_stat(s: &Server, name: &str) -> u64 {
+        s.stats()
+            .get("db")
+            .and_then(|d| d.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("stats missing db.{name}"))
+    }
+
+    /// The times of every point `tail` holds, drained.
+    fn drain_times(s: &Server, tail: u64) -> Vec<u64> {
+        let (points, _, remaining) = s.poll(tail, usize::MAX).unwrap();
+        assert_eq!(remaining, 0);
+        points.iter().map(|p| p.time).collect()
+    }
+
+    #[test]
+    fn tails_mirror_batches_in_canonical_order() {
+        // Staged out of order across two clients and one publish; the
+        // tail sees (client, seq) order, which is also the store's.
+        let s = Server::new(ServerConfig::default());
+        let id = s.subscribe(16).unwrap();
+        s.ingest("b", 0, vec![point("b", 20, 1.0), point("b", 21, 1.0)])
+            .unwrap();
+        s.ingest("a", 1, vec![point("a", 11, 1.0)]).unwrap();
+        s.ingest("a", 0, vec![point("a", 10, 1.0)]).unwrap();
+        s.publish();
+        s.ingest("b", 1, vec![point("b", 22, 1.0)]).unwrap();
+        s.ingest("a", 2, vec![point("a", 12, 1.0)]).unwrap();
+        s.publish();
+        assert_eq!(drain_times(&s, id), vec![10, 11, 20, 21, 12, 22]);
+        assert_eq!(db_stat(&s, "points_published"), 6);
+    }
+
+    #[test]
+    fn tail_buffer_is_bounded_with_overflow_count() {
+        let s = Server::new(ServerConfig::default());
+        let id = s.subscribe(2).unwrap();
+        s.ingest("c", 0, (0..5).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.publish();
+        // The first two buffered, the other three counted as overflow.
+        let (points, overflow, remaining) = s.poll(id, 1).unwrap();
+        assert_eq!((points[0].time, overflow, remaining), (0, 3, 1));
+        // Draining frees capacity for later publishes.
+        s.ingest("c", 1, vec![point("a", 9, 1.0)]).unwrap();
+        s.publish();
+        assert_eq!(drain_times(&s, id), vec![1, 9]);
+        assert_eq!(db_stat(&s, "tail_overflow"), 3);
+    }
+
+    #[test]
+    fn full_tail_buffer_overflows_whole_batches() {
+        let s = Server::new(ServerConfig::default());
+        let id = s.subscribe(2).unwrap();
+        // One batch fills the buffer and spills the rest; the next batch
+        // finds it full and overflows whole, in its own publish or in
+        // the same one.
+        s.ingest("c", 0, (0..5).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.ingest("c", 1, (5..9).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.publish();
+        s.ingest("c", 2, (9..12).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.publish();
+        let (points, overflow, remaining) = s.poll(id, 1).unwrap();
+        assert_eq!((points[0].time, overflow, remaining), (0, 10, 1));
+        assert_eq!(drain_times(&s, id), vec![1]);
+        assert_eq!(db_stat(&s, "tail_overflow"), 10);
+        // Draining frees capacity for later publishes.
+        s.ingest("c", 3, vec![point("a", 12, 1.0)]).unwrap();
+        s.publish();
+        assert_eq!(drain_times(&s, id), vec![12]);
+        assert_eq!(db_stat(&s, "points_published"), 3);
+    }
+
+    #[test]
+    fn tail_peak_depth_is_a_high_water_mark() {
+        let s = Server::new(ServerConfig::default());
+        let id = s.subscribe(8).unwrap();
+        s.ingest("c", 0, (0..3).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.ingest("c", 1, (3..5).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.publish();
+        assert_eq!(db_stat(&s, "tail_peak_depth"), 5);
+        assert_eq!(drain_times(&s, id).len(), 5);
+        s.ingest("c", 2, vec![point("a", 9, 1.0)]).unwrap();
+        s.publish();
+        // Draining does not lower the mark; a shallower publish keeps it.
+        assert_eq!(db_stat(&s, "tail_peak_depth"), 5);
+        assert_eq!(db_stat(&s, "insert_batches"), 3);
+        assert_eq!(db_stat(&s, "tail_overflow"), 0);
+    }
+
+    #[test]
+    fn mid_stream_subscriber_sees_only_later_publishes() {
+        let s = Server::new(ServerConfig::default());
+        let early = s.subscribe(8).unwrap();
+        s.ingest("c", 0, vec![point("a", 0, 1.0)]).unwrap();
+        s.publish();
+        // Staged before the subscribe but applied after it: mirrored.
+        s.ingest("c", 1, vec![point("a", 1, 1.0)]).unwrap();
+        let late = s.subscribe(8).unwrap();
+        s.publish();
+        assert_eq!(drain_times(&s, early), vec![0, 1]);
+        assert_eq!(drain_times(&s, late), vec![1]);
+    }
+
+    #[test]
+    fn unsubscribe_stops_accrual() {
+        let s = Server::new(ServerConfig::default());
+        let gone = s.subscribe(1).unwrap();
+        let kept = s.subscribe(1).unwrap();
+        s.ingest("c", 0, (0..3).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.publish();
+        assert_eq!(db_stat(&s, "tail_overflow"), 4);
+        s.unsubscribe(gone).unwrap();
+        // Counted at unsubscribe, before any further publish.
+        assert_eq!(db_stat(&s, "tails_closed"), 1);
+        s.ingest("c", 1, (3..6).map(|t| point("a", t, 1.0)).collect())
+            .unwrap();
+        s.publish();
+        // Only the kept tail accrues: three more overflowed points.
+        assert_eq!(db_stat(&s, "tail_overflow"), 7);
+        assert_eq!(s.poll(kept, 8).unwrap().1, 5);
+        assert!(s.unsubscribe(gone).is_err());
+        assert_eq!(db_stat(&s, "tails_closed"), 1);
+        assert_eq!(db_stat(&s, "tails_opened"), 2);
+    }
+
+    #[test]
+    fn zero_capacity_subscribe_rejected() {
+        let s = Server::new(ServerConfig::default());
+        let err = s.subscribe(0).unwrap_err();
+        assert!(err.contains("capacity"), "{err}");
+        assert_eq!(db_stat(&s, "tails_opened"), 0);
     }
 
     #[test]
@@ -794,6 +983,55 @@ mod tests {
         }
         // Zero lost points: everything ingested was applied.
         assert_eq!(s.snapshot().points(), 100 + 19);
+    }
+
+    #[test]
+    fn concurrent_polls_account_for_every_applied_point() {
+        // Small buffers polled while publishes run: every tail still
+        // ends with drained + overflow == applied, and overflows.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let s = Arc::new(Server::new(ServerConfig::default()));
+        let ids: Vec<u64> = (0..3).map(|_| s.subscribe(4).unwrap()).collect();
+        let done = Arc::new(AtomicBool::new(false));
+        let pollers: Vec<_> = ids
+            .iter()
+            .map(|&id| {
+                let (s, done) = (Arc::clone(&s), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut drained = 0u64;
+                    loop {
+                        let finished = done.load(Ordering::SeqCst);
+                        let (points, overflow, _) = s.poll(id, 3).unwrap();
+                        drained += points.len() as u64;
+                        if finished && points.is_empty() {
+                            return (drained, overflow);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for seq in 0..40u64 {
+            let batch = (0..seq % 7)
+                .map(|i| point("a", seq * 10 + i, 1.0))
+                .collect();
+            s.ingest("w", seq, batch).unwrap();
+            s.publish();
+        }
+        done.store(true, Ordering::SeqCst);
+        let applied = s.snapshot().points();
+        let mut overflow_total = 0;
+        for p in pollers {
+            let (drained, overflow) = p.join().unwrap();
+            assert_eq!(drained + overflow, applied);
+            overflow_total += overflow;
+        }
+        assert!(overflow_total > 0, "4-point buffers must overflow");
+        assert_eq!(db_stat(&s, "tail_overflow"), overflow_total);
+        assert_eq!(
+            db_stat(&s, "points_published") + overflow_total,
+            3 * applied
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod query;
 pub mod rollup;
 pub mod snapshot;
 
-pub use db::{Db, DbStats, FieldNames, FieldSet, LineIngest, Sample, Series, SeriesId, Tail};
+pub use db::{Db, DbStats, FieldNames, FieldSet, LineIngest, Sample, Series, SeriesId};
 pub use point::Point;
 pub use query::{Aggregate, Query, Row, SeriesResult};
 pub use snapshot::{SeriesSnap, Snapshot};

@@ -377,9 +377,10 @@ mod tests {
 
     #[test]
     fn percentile_tolerates_non_finite_values() {
-        // Non-finite fields can enter via decoded line protocol, which
-        // builds Points directly; total_cmp orders them deterministically
-        // (-inf first, NaN last) instead of panicking mid-sort.
+        // Decoded line protocol cannot carry NaN or ±inf, but a caller
+        // can still put them in a Point's `fields` directly; total_cmp
+        // orders them deterministically (-inf first, NaN last) instead
+        // of panicking mid-sort.
         let mut db = Db::new();
         let mut p = Point::new("m", 0).tag("s", "x").field("f", 1.0);
         p.fields.insert("g".into(), f64::INFINITY);
