@@ -10,7 +10,8 @@
 //!   the points fed;
 //! * **exact tail accounting** — for every tail subscribed before the
 //!   first batch, `drained + overflow == applied`; backpressure may
-//!   drop points but never silently;
+//!   drop points but never silently. Two tails are smaller than one
+//!   batch, so the overflow side of that sum is exercised too;
 //! * **byte-stability under concurrency** — any two responses a reader
 //!   gets for the same spec at the same generation are identical bytes.
 //!
@@ -38,8 +39,15 @@ use tsdb::{Aggregate, Point};
 const READERS: usize = 64;
 const TAILS: usize = 8;
 const TAIL_CAPACITY: usize = 4096;
+/// The first `LOSSY_TAILS` tails hold less than one ingest batch. The
+/// publish barrier mirrors one batch at a time and a tail may drain
+/// between batches, so only a buffer smaller than a batch overflows
+/// whatever the drain timing.
+const LOSSY_TAILS: usize = 2;
+const LOSSY_TAIL_CAPACITY: usize = 256;
 const BATCH: usize = 512;
 const PUBLISH_EVERY: usize = 4;
+const _: () = assert!(LOSSY_TAIL_CAPACITY < BATCH);
 
 /// The fixed reader query rotation: campaign-shaped specs of varying
 /// cost. Indexed by `(reader, iteration)` so the mix is deterministic.
@@ -174,7 +182,14 @@ fn main() {
     // Tails subscribe before the first batch so their accounting spans
     // the whole stream.
     let tail_ids: Vec<u64> = (0..TAILS)
-        .map(|_| server.subscribe(TAIL_CAPACITY).expect("subscribe"))
+        .map(|i| {
+            let capacity = if i < LOSSY_TAILS {
+                LOSSY_TAIL_CAPACITY
+            } else {
+                TAIL_CAPACITY
+            };
+            server.subscribe(capacity).expect("subscribe")
+        })
         .collect();
     let tail_threads: Vec<_> = tail_ids
         .iter()
@@ -230,6 +245,10 @@ fn main() {
         tails_drained += r.drained;
         tails_overflow += r.overflow;
     }
+    assert!(
+        tails_overflow > 0,
+        "tails smaller than one batch never overflowed"
+    );
     for id in tail_ids {
         server.unsubscribe(id).expect("unsubscribe");
     }

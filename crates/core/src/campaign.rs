@@ -217,6 +217,9 @@ impl ResumeState {
         let Some(ckpt) = resume else {
             return Ok(st);
         };
+        // Unknown keys are ignored, among them the `"stream"` engine
+        // snapshot that older streaming checkpoints carry: replaying the
+        // completed units into a fresh engine rebuilds that state.
         let counters = ckpt.get("counters").ok_or("checkpoint missing counters")?;
         let u = |k: &str| {
             counters
@@ -391,24 +394,6 @@ impl<'w> Campaign<'w> {
         clasp_stream::StreamEngine::new(cfg, self.world.server_utc_offsets())
     }
 
-    /// Restores a streaming engine from a checkpoint taken by a
-    /// streaming run. Checkpoints without stream state (from a
-    /// non-streaming run) yield a fresh engine, which a resumed
-    /// streaming [`Runner`](crate::runner::Runner) then catches up via
-    /// replay.
-    pub fn restore_stream_engine(
-        &self,
-        cfg: clasp_stream::EngineConfig,
-        checkpoint: &serde_json::Value,
-    ) -> Result<clasp_stream::StreamEngine, String> {
-        match checkpoint.get("stream") {
-            Some(snap) => {
-                clasp_stream::StreamEngine::restore(cfg, self.world.server_utc_offsets(), snap)
-            }
-            None => Ok(self.stream_engine(cfg)),
-        }
-    }
-
     /// The campaign as an ordered list of checkpointable work units:
     /// each topology region, then each differential region. This order
     /// is the canonical one the merge reassembles worker output along.
@@ -474,11 +459,6 @@ impl<'w> Campaign<'w> {
         let base_cron = CronSchedule::new(self.config.seed ^ 0xc407);
         let fplan = &self.config.fault_plan;
         let mut db = Db::new();
-        // Streaming: the engine is fed each row ingest stores, in the
-        // merged canonical order. On resume its cursor (`events_seen`)
-        // skips rows replayed from completed units, so it sees each row
-        // once across interruptions.
-        let mut replay_skip = stream.as_deref().map_or(0, |engine| engine.events_seen());
         let st = ResumeState::load(resume)?;
         let mut vm_count = st.vm_count;
         let mut tests_run = st.tests_run;
@@ -820,10 +800,10 @@ impl<'w> Campaign<'w> {
                         record_collected(obs, label, key, n);
                     }
                 },
-                |id, series, time, fields| match stream.as_deref_mut() {
-                    Some(_) if replay_skip > 0 => replay_skip -= 1,
-                    Some(engine) => engine.ingest_row(id, series, time, fields),
-                    None => {}
+                |id, series, time, fields| {
+                    if let Some(engine) = stream.as_deref_mut() {
+                        engine.ingest_row(id, series, time, fields);
+                    }
                 },
             );
             raw_objects += stats.objects;
@@ -852,16 +832,12 @@ impl<'w> Campaign<'w> {
             }
             // Periodic checkpoint: everything needed to resume after
             // this unit, with the raw bucket dumps as durable storage.
-            // Streaming runs additionally embed the engine snapshot, so
-            // detection state survives the interruption too.
+            // It carries no engine state: a resumed streaming run feeds
+            // a fresh engine the replayed units' rows, which rebuilds
+            // the same detection state.
             let mut ckpt = make_checkpoint(
                 &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
             );
-            if let Some(engine) = stream.as_deref() {
-                if let serde_json::Value::Object(m) = &mut ckpt {
-                    m.insert("stream".into(), engine.snapshot());
-                }
-            }
             if observer.is_some() {
                 // Only observed runs carry the telemetry section —
                 // observer-less checkpoints stay byte-identical to the

@@ -53,9 +53,10 @@ impl<'c, 'w> Runner<'c, 'w> {
 
     /// Attaches a streaming detection engine: ingest feeds it each row
     /// as it stores it (no buffer, so nothing is dropped), and it is
-    /// finalized when the run completes. Checkpoints embed the engine snapshot under
-    /// `"stream"`. When resuming, the engine must come from
-    /// [`Campaign::restore_stream_engine`] on the same checkpoint.
+    /// finalized when the run completes. The engine must be fresh, from
+    /// [`Campaign::stream_engine`], also when resuming: checkpoints
+    /// carry no engine state, and the rows replayed from completed
+    /// units catch the engine up.
     pub fn streaming(mut self, engine: &'c mut clasp_stream::StreamEngine) -> Self {
         self.stream = Some(engine);
         self
@@ -79,8 +80,15 @@ impl<'c, 'w> Runner<'c, 'w> {
     }
 
     /// Executes the campaign. Fails on a region the world's provider
-    /// does not define or on a malformed checkpoint.
+    /// does not define, on a malformed checkpoint, or on a streaming
+    /// engine that has already seen rows (it would count them twice).
     pub fn run(mut self) -> Result<CampaignResult, String> {
+        let seen = self.stream.as_deref().map_or(0, |e| e.events_seen());
+        if seen != 0 {
+            return Err(format!(
+                "streaming engine has already seen {seen} rows; attach a fresh one"
+            ));
+        }
         let root = self.observer.map(|o| o.span("campaign"));
         let jobs = self.campaign.config.effective_jobs(self.jobs);
         let result = self.campaign.run_resumable(
@@ -152,4 +160,40 @@ fn record_engine(obs: &Observer, engine: &clasp_stream::StreamEngine) {
         m.inc("stream.gap_hours", s.gap_hours);
         m.inc("stream.late_dropped", s.late_dropped);
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::campaign::{Campaign, CampaignConfig};
+    use crate::world::World;
+    use clasp_stream::EngineConfig;
+
+    /// A reused engine would count every row twice, so the run refuses
+    /// it, fresh or resumed, and leaves the engine as it was.
+    #[test]
+    fn used_stream_engine_is_rejected() {
+        let world = World::tiny(121);
+        let mut cfg = CampaignConfig::small(121);
+        cfg.days = 2;
+        cfg.diff_days = 1;
+        let campaign = Campaign::new(&world, cfg);
+        let mut engine = campaign.stream_engine(EngineConfig::paper());
+        let full = campaign.runner().streaming(&mut engine).run().unwrap();
+        let seen = engine.events_seen();
+        assert!(seen > 0);
+
+        let fresh = campaign.runner().streaming(&mut engine).run();
+        let resumed = campaign
+            .runner()
+            .resume_from(&full.checkpoints[0])
+            .streaming(&mut engine)
+            .run();
+        for run in [fresh, resumed] {
+            let Err(err) = run else {
+                panic!("a used engine was accepted");
+            };
+            assert!(err.contains("fresh"), "{err}");
+        }
+        assert_eq!(engine.events_seen(), seen);
+    }
 }

@@ -5,8 +5,8 @@
 //! hourly sample `V_H(s,t) = (Tmax − T(s,t)) / Tmax`; hours with `V_H > H`
 //! are congestion events. [`DayWindow`] is that fold for one day and
 //! [`HourTally`] counts its events per local hour (Fig. 6) and per day
-//! (Fig. 8). The batch analysis, the streaming engine, its snapshot
-//! restore and the serve `congestion` verb all run on these types.
+//! (Fig. 8). The batch analysis, the streaming engine and the serve
+//! `congestion` verb all run on these types.
 //! Callers reckon local days and hours; this crate knows no time zones.
 
 /// One open (series, local-day) window: the raw `(time, value)` entries

@@ -227,7 +227,7 @@ pub struct StreamEngine {
     pub(crate) alerts: Vec<CongestionAlert>,
     pub(crate) stats: EngineStats,
     pub(crate) finalized: bool,
-    /// Per Db series id (not snapshotted: a restored engine re-resolves).
+    /// Per Db series id (not snapshotted: a cache rebuilt from the rows).
     routes: Vec<Route>,
 }
 
@@ -436,8 +436,8 @@ impl StreamEngine {
         })
     }
 
-    /// Appends a series with fresh state; also used by snapshot restore.
-    pub(crate) fn register_series(&mut self, meta: SeriesMeta) -> usize {
+    /// Appends a series with fresh state.
+    fn register_series(&mut self, meta: SeriesMeta) -> usize {
         let i = self.series.len();
         self.index.insert(
             meta.key.clone(),
@@ -556,7 +556,8 @@ impl StreamEngine {
         &self.stats
     }
 
-    /// Points offered so far (the replay-skip cursor for resume).
+    /// Points offered so far. A campaign run refuses an engine where
+    /// this is not 0, so no row is counted twice.
     pub fn events_seen(&self) -> u64 {
         self.stats.events_seen
     }

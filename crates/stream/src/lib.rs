@@ -32,11 +32,13 @@
 //! order-independent) with the same server-local day/hour
 //! reckoning, so the equality is bitwise, not approximate.
 //!
-//! **Resumability.** [`StreamEngine::snapshot`] serializes the full
-//! engine state to canonical JSON (floats as bit patterns, so restore is
-//! exact); `clasp-core` embeds it in campaign checkpoints so a resumed
-//! streaming campaign continues — and finishes — byte-identical to an
-//! uninterrupted one.
+//! **Resumability.** The engine's state is a pure function of the rows
+//! it was fed, so campaign checkpoints carry none of it: a resumed
+//! streaming campaign feeds a fresh engine the completed units' replayed
+//! rows and then the rest, and finishes byte-identical to an
+//! uninterrupted one. [`StreamEngine::snapshot`] serializes the full
+//! state to canonical JSON (floats as bit patterns) for the suites that
+//! compare engines byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

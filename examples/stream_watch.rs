@@ -1,8 +1,8 @@
 //! Stream watch: run a fault-injected campaign with the online
 //! congestion engine attached, watch alerts fire with hysteresis while
 //! the data streams in, let the threshold recalibrate itself — then
-//! cross-check every label against the batch analysis and replay the
-//! run from a mid-campaign checkpoint.
+//! cross-check every label against the batch analysis and resume the
+//! run from a mid-campaign checkpoint into a fresh engine.
 //!
 //! ```text
 //! cargo run --release -p clasp-examples --bin stream_watch [--seed N] [--days N]
@@ -103,13 +103,12 @@ fn main() {
         engine.labels().len()
     );
 
-    // 4. Crash/resume with detection state: restore the engine from the
-    //    first checkpoint's embedded snapshot and finish the run — the
-    //    final engine state matches the uninterrupted one byte for byte.
+    // 4. Crash/resume: checkpoints carry no engine state, so resume
+    //    from the first one with a fresh engine. Replaying the completed
+    //    unit catches it up, and the final engine state matches the
+    //    uninterrupted one byte for byte.
     let ckpt = &result.checkpoints[0];
-    let mut resumed_engine = campaign
-        .restore_stream_engine(engine_cfg, ckpt)
-        .expect("snapshot restores");
+    let mut resumed_engine = campaign.stream_engine(engine_cfg);
     campaign
         .runner()
         .resume_from(ckpt)
@@ -121,7 +120,7 @@ fn main() {
         serde_json::to_string(&resumed_engine.snapshot())
     );
     println!(
-        "resume: engine restored at checkpoint 1/{} and caught up — snapshots byte-identical",
+        "resume: fresh engine replayed to checkpoint 1/{} and caught up — snapshots byte-identical",
         result.checkpoints.len()
     );
 }

@@ -137,16 +137,14 @@ fn streaming_telemetry_identical_across_resume() {
         .run()
         .expect("fresh runs cannot fail");
     let ckpt = &full.checkpoints[0];
-    assert!(ckpt.get("stream").is_some());
+    assert!(ckpt.get("stream").is_none());
     assert!(ckpt.get("obs").is_some(), "observed checkpoint carries obs");
 
     let robs = Observer::new();
     let mut pcfg = cfg;
     pcfg.jobs = 4;
     let pcampaign = Campaign::new(&world, pcfg);
-    let mut resumed_engine = pcampaign
-        .restore_stream_engine(engine_cfg(), ckpt)
-        .expect("snapshot restores");
+    let mut resumed_engine = pcampaign.stream_engine(engine_cfg());
     let resumed = pcampaign
         .runner()
         .resume_from(ckpt)

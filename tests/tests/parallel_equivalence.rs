@@ -207,14 +207,12 @@ fn streaming_checkpoint_resumes_in_parallel() {
         .run()
         .expect("fresh runs cannot fail");
     let ckpt = &full.checkpoints[0];
-    assert!(ckpt.get("stream").is_some());
+    assert!(ckpt.get("stream").is_none());
 
     let mut pcfg = cfg;
     pcfg.jobs = 4;
     let pcampaign = Campaign::new(&world, pcfg);
-    let mut resumed_engine = pcampaign
-        .restore_stream_engine(engine_cfg(), ckpt)
-        .expect("snapshot restores");
+    let mut resumed_engine = pcampaign.stream_engine(engine_cfg());
     let resumed = pcampaign
         .runner()
         .resume_from(ckpt)

@@ -2,9 +2,12 @@
 //! labels must be *element-wise identical* to the batch analysis of the
 //! very same campaign database — same series order, same day records
 //! (bit-equal floats), same hourly samples and verdicts — with and
-//! without fault injection, and across a checkpoint/resume cut.
+//! without fault injection, and across checkpoint/resume cuts: a resumed
+//! run replays the completed units into a fresh engine, and that replay
+//! is exact at every cut.
 
-use clasp_core::campaign::{Campaign, CampaignConfig};
+use analysis::harness::PAPER_SEED;
+use clasp_core::campaign::{Campaign, CampaignConfig, CampaignResult};
 use clasp_core::congestion::CongestionAnalysis;
 use clasp_core::world::World;
 use clasp_stream::{EngineConfig, StreamEngine, ThresholdMode};
@@ -143,8 +146,9 @@ fn streaming_elbow_matches_batch_sweep() {
 }
 
 /// A streaming run interrupted at the first unit checkpoint and resumed
-/// finishes with state *byte-identical* (snapshot JSON) to the
-/// uninterrupted run — labels, alerts, thresholds, health counters.
+/// into a fresh engine finishes with state *byte-identical* (snapshot
+/// JSON) to the uninterrupted run — labels, alerts, thresholds, health
+/// counters.
 #[test]
 fn resumed_streaming_run_is_byte_identical() {
     let world = World::new(80);
@@ -163,12 +167,10 @@ fn resumed_streaming_run_is_byte_identical() {
     // Cut after the first completed unit.
     let ckpt = &full.checkpoints[0];
     assert!(
-        ckpt.get("stream").is_some(),
-        "streaming checkpoints embed the engine"
+        ckpt.get("stream").is_none(),
+        "streaming checkpoints carry no engine state"
     );
-    let mut resumed_engine = campaign
-        .restore_stream_engine(engine_cfg(0.5), ckpt)
-        .expect("snapshot restores");
+    let mut resumed_engine = campaign.stream_engine(engine_cfg(0.5));
     let resumed = campaign
         .runner()
         .resume_from(ckpt)
@@ -195,9 +197,7 @@ fn plain_checkpoint_resumes_into_streaming() {
     let ckpt = &plain.checkpoints[0];
     assert!(ckpt.get("stream").is_none());
 
-    let mut engine = campaign
-        .restore_stream_engine(engine_cfg(0.5), ckpt)
-        .expect("fresh engine for plain checkpoints");
+    let mut engine = campaign.stream_engine(engine_cfg(0.5));
     let mut result = campaign
         .runner()
         .resume_from(ckpt)
@@ -209,8 +209,7 @@ fn plain_checkpoint_resumes_into_streaming() {
 }
 
 /// Attaching a stream engine must not perturb the campaign itself:
-/// checkpoints are identical to the plain run's once the embedded
-/// `"stream"` snapshot is removed.
+/// checkpoints are byte-identical to the plain run's.
 #[test]
 fn streaming_leaves_campaign_checkpoints_untouched() {
     let world = World::new(82);
@@ -225,10 +224,168 @@ fn streaming_leaves_campaign_checkpoints_untouched() {
 
     assert_eq!(plain.checkpoints.len(), streamed.checkpoints.len());
     for (p, s) in plain.checkpoints.iter().zip(&streamed.checkpoints) {
-        let mut s = s.clone();
-        if let serde_json::Value::Object(m) = &mut s {
-            assert!(m.remove("stream").is_some());
+        assert_eq!(serde_json::to_string(p), serde_json::to_string(s));
+    }
+}
+
+fn auto_cfg(min_days: u64) -> EngineConfig {
+    EngineConfig {
+        threshold: ThresholdMode::Auto {
+            initial: 0.5,
+            min_days,
+        },
+        ..EngineConfig::paper()
+    }
+}
+
+/// A small campaign of four units (two topology, two differential
+/// regions), so it has three mid-run cuts.
+fn four_unit_config(seed: u64) -> CampaignConfig {
+    let mut c = config(seed);
+    c.topo_regions.push(("us-east1".into(), 12));
+    c.diff_regions.push("us-central1".into());
+    c
+}
+
+/// Every checkpoint a run wrote, as bytes.
+fn checkpoint_bytes(r: &CampaignResult) -> Vec<String> {
+    r.checkpoints.iter().map(serde_json::to_string).collect()
+}
+
+/// Runs `cfg` streaming, then resumes it from every checkpoint (the last
+/// one included: a pure replay) into a fresh engine. Each resumed run
+/// must write the uninterrupted run's checkpoints from the cut on (a
+/// replayed unit's checkpoint holds the totals as of the cut) and end
+/// with its `EngineStats` and `snapshot()` bytes. Returns the
+/// uninterrupted engine.
+fn assert_every_cut_resumes_exactly(
+    world: &World,
+    cfg: CampaignConfig,
+    ecfg: &EngineConfig,
+) -> StreamEngine {
+    let campaign = Campaign::new(world, cfg);
+    let mut full_engine = campaign.stream_engine(ecfg.clone());
+    let full = campaign
+        .runner()
+        .streaming(&mut full_engine)
+        .run()
+        .expect("fresh runs cannot fail");
+    assert!(full.checkpoints.len() >= 2, "need a mid-run checkpoint");
+    let want_ckpts = checkpoint_bytes(&full);
+    let want_snap = serde_json::to_string(&full_engine.snapshot());
+
+    for (cut, ckpt) in full.checkpoints.iter().enumerate() {
+        assert!(ckpt.get("stream").is_none(), "cut {cut}: engine state");
+        let mut engine = campaign.stream_engine(ecfg.clone());
+        let resumed = campaign
+            .runner()
+            .resume_from(ckpt)
+            .streaming(&mut engine)
+            .run()
+            .expect("resume succeeds");
+        assert_eq!(resumed.tests_run, full.tests_run, "cut {cut}");
+        assert!(
+            checkpoint_bytes(&resumed)[cut..] == want_ckpts[cut..],
+            "cut {cut}: checkpoints differ"
+        );
+        assert_eq!(engine.stats(), full_engine.stats(), "cut {cut}");
+        assert!(
+            serde_json::to_string(&engine.snapshot()) == want_snap,
+            "cut {cut}: engine snapshot differs"
+        );
+    }
+    full_engine
+}
+
+/// The paper's five topology and three differential regions over 12
+/// days, under gcp-2020 faults, with the threshold recalibrating online
+/// and alerts opening and closing: replay into a fresh engine is exact
+/// at every cut.
+#[test]
+fn paper_shaped_campaign_resumes_exactly_at_every_cut() {
+    let world = World::new(PAPER_SEED);
+    let mut cfg = CampaignConfig::paper(PAPER_SEED);
+    cfg.days = 12;
+    cfg.diff_days = 5;
+    cfg.fault_plan = FaultPlan::builtin("gcp-2020").expect("built-in profile");
+    let engine = assert_every_cut_resumes_exactly(&world, cfg, &auto_cfg(3));
+    let s = engine.stats();
+    assert!(s.recalibrations > 0, "the threshold never recalibrated");
+    assert!(s.alert_transitions > 0, "no alert ever opened");
+    assert!(
+        s.out_of_order + s.duplicates + s.gap_hours > 0,
+        "faults left no trace"
+    );
+}
+
+/// Fixed and auto thresholds, with and without faults, on small
+/// four-unit campaigns.
+#[test]
+fn small_campaigns_resume_exactly_at_every_cut() {
+    for (seed, faults) in [(83, false), (84, true)] {
+        let world = World::new(seed);
+        for ecfg in [engine_cfg(0.5), auto_cfg(1)] {
+            let mut cfg = four_unit_config(seed);
+            if faults {
+                cfg.fault_plan = FaultPlan::builtin("gcp-2020").expect("built-in profile");
+            }
+            let engine = assert_every_cut_resumes_exactly(&world, cfg, &ecfg);
+            assert!(engine.stats().labels_emitted > 0);
         }
-        assert_eq!(serde_json::to_string(p), serde_json::to_string(&s));
+    }
+}
+
+/// A checkpoint written before checkpoints stopped carrying engine state
+/// may hold a `"stream"` key. It is ignored, whatever it holds: the
+/// resume ends with the same result and engine bytes as without it.
+#[test]
+fn legacy_stream_key_is_ignored_on_resume() {
+    let world = World::new(85);
+    let mut cfg = config(85);
+    cfg.fault_plan = FaultPlan::builtin("gcp-2020").expect("built-in profile");
+    let campaign = Campaign::new(&world, cfg);
+    let mut full_engine = campaign.stream_engine(auto_cfg(1));
+    let full = campaign
+        .runner()
+        .streaming(&mut full_engine)
+        .run()
+        .expect("fresh runs cannot fail");
+    let ckpt = &full.checkpoints[0];
+
+    let resume = |ckpt: &serde_json::Value| {
+        let mut engine = campaign.stream_engine(auto_cfg(1));
+        let result = campaign
+            .runner()
+            .resume_from(ckpt)
+            .streaming(&mut engine)
+            .run()
+            .expect("resume succeeds");
+        (
+            checkpoint_bytes(&result),
+            result.tests_run,
+            result.db.points_written,
+            serde_json::to_string(&engine.snapshot()),
+        )
+    };
+    let want = resume(ckpt);
+    assert_eq!(want.3, serde_json::to_string(&full_engine.snapshot()));
+
+    let legacy = [
+        full_engine.snapshot(),
+        serde_json::Value::Null,
+        serde_json::Value::String("garbage".into()),
+        serde_json::from_str(r#"{"version": 9, "series": 7}"#).unwrap(),
+        serde_json::from_str("[1, 2, 3]").unwrap(),
+    ];
+    for value in legacy {
+        let mut old = ckpt.clone();
+        let serde_json::Value::Object(m) = &mut old else {
+            panic!("checkpoints are objects");
+        };
+        m.insert("stream".into(), value);
+        assert!(
+            resume(&old) == want,
+            "a legacy \"stream\" key changed the resume"
+        );
     }
 }

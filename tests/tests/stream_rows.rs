@@ -19,12 +19,10 @@ fn streaming_engine_sees_every_ingested_row() {
     assert!(full.db.points_written > 0);
     assert_eq!(engine.events_seen(), full.db.points_written);
 
-    // Resumed: the restored cursor skips the replayed rows and the rest
-    // arrive once, so the count and every counter come out the same.
+    // Resumed: a fresh engine sees the replayed rows and then the rest,
+    // each once, so the count and every counter come out the same.
     let ckpt = &full.checkpoints[0];
-    let mut resumed = campaign
-        .restore_stream_engine(EngineConfig::paper(), ckpt)
-        .expect("checkpoint carries the engine");
+    let mut resumed = campaign.stream_engine(EngineConfig::paper());
     let result = campaign
         .runner()
         .resume_from(ckpt)
