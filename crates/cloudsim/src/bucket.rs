@@ -6,23 +6,110 @@
 //! the same region as the storage bucket to avoid transferring both raw
 //! and processed data across different cloud regions", §3.3).
 //!
-//! Memory holds each object packed by [`crate::pack`], once: campaign
-//! checkpoints share the packed bytes by reference count, and the text
-//! is unpacked only to be ingested or serialized. Billing does not meter
-//! that in-memory form. It meters the modelled gzip size
-//! ([`Object::stored_bytes`]), a fixed share of the text's length.
+//! Memory holds each object once, as a [`Payload`]: a measurement VM's
+//! batch is a typed [`Block`] of line-protocol rows, and text that is
+//! not exactly what some block renders stays text. Campaign checkpoints
+//! share the payload by reference count, and a block is rendered to text
+//! only when something asks for it (a checkpoint written out, a sample
+//! printed). Billing does not meter that in-memory form. It meters the
+//! modelled gzip size ([`Object::stored_bytes`]), a fixed share of the
+//! length of the object's text.
 
-use crate::pack::Packed;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use tsdb::Block;
+
+/// What an object holds: rows, or text.
+#[derive(Debug)]
+pub enum Payload {
+    /// Rows of line protocol, as columns; the text is what
+    /// [`Block::render_into`] writes.
+    Block(Block),
+    /// Text that no block renders.
+    Text(Box<str>),
+}
+
+impl Payload {
+    /// The payload of `text`: the block that renders it, when there is
+    /// one ([`Block::from_rendered`]), else the text itself.
+    pub fn from_text(text: &str) -> Payload {
+        Block::from_rendered(text).map_or_else(|| Payload::Text(Box::from(text)), Payload::Block)
+    }
+
+    /// Byte length of the text.
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Block(b) => b.text_len(),
+            Payload::Text(t) => t.len(),
+        }
+    }
+
+    /// True when the text is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes the payload holds in memory: a block's columns and heads
+    /// ([`Block::column_bytes`]), or the text.
+    pub fn held_bytes(&self) -> usize {
+        match self {
+            Payload::Block(b) => b.column_bytes(),
+            Payload::Text(t) => t.len(),
+        }
+    }
+
+    /// Replaces the contents of `out` with the text, reusing `out`'s
+    /// allocation.
+    pub fn unpack_into(&self, out: &mut String) {
+        out.clear();
+        match self {
+            Payload::Block(b) => b.render_into(out),
+            Payload::Text(t) => out.push_str(t),
+        }
+    }
+
+    /// The text, in a new `String`.
+    pub fn unpack(&self) -> String {
+        let mut out = String::new();
+        self.unpack_into(&mut out);
+        out
+    }
+
+    /// A JSON string of the text that shares this payload
+    /// ([`Value::Packed`]): it serializes as the text, and
+    /// [`Self::from_json`] gets the same `Arc` back.
+    pub fn to_json(self: &Arc<Self>) -> Value {
+        Value::Packed(self.clone())
+    }
+
+    /// The payload of a JSON string: the `Arc` itself when `v` came from
+    /// [`Self::to_json`], and [`Self::from_text`] of any other string.
+    /// `None` when `v` is not a string.
+    pub fn from_json(v: &Value) -> Option<Arc<Payload>> {
+        if let Value::Packed(p) = v {
+            let any: Arc<dyn std::any::Any + Send + Sync> = p.clone();
+            if let Ok(own) = any.downcast::<Payload>() {
+                return Some(own);
+            }
+        }
+        v.text().map(|text| Arc::new(Payload::from_text(&text)))
+    }
+}
+
+impl serde_json::PackedText for Payload {
+    fn unpack_into(&self, out: &mut String) {
+        Payload::unpack_into(self, out);
+    }
+}
 
 /// One stored object.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Object {
-    /// Object payload, packed; shared, never copied.
-    pub data: Arc<Packed>,
+    /// Object payload; shared, never copied.
+    pub data: Arc<Payload>,
     /// Upload time.
     pub uploaded: SimTime,
     /// Approximate compressed size in bytes (what billing meters).
@@ -58,15 +145,15 @@ impl Bucket {
         }
     }
 
-    /// Uploads (and compresses) an object; overwrites silently, like
-    /// object stores do.
+    /// Uploads the object of `data` ([`Payload::from_text`]); overwrites
+    /// silently, like object stores do.
     pub fn put(&mut self, key: impl Into<String>, data: &str, now: SimTime) {
-        self.put_packed(key, Arc::new(Packed::new(data)), now);
+        self.put_payload(key, Arc::new(Payload::from_text(data)), now);
     }
 
-    /// [`Self::put`] for an object packed already: stores `data` itself,
-    /// with the stored size `put` would meter for its text.
-    pub fn put_packed(&mut self, key: impl Into<String>, data: Arc<Packed>, now: SimTime) {
+    /// [`Self::put`] for a payload: stores `data` itself, with the stored
+    /// size `put` would meter for its text.
+    pub fn put_payload(&mut self, key: impl Into<String>, data: Arc<Payload>, now: SimTime) {
         let stored_bytes = (data.len() as f64 * COMPRESSION_RATIO).ceil() as u64;
         self.objects.insert(
             key.into(),
@@ -81,12 +168,12 @@ impl Bucket {
     /// Fault-aware upload: consults the fault plan before storing.
     /// `vm` is the uploading instance, `day` the batch day, `attempt`
     /// the 0-based retry counter (each attempt draws independently).
-    /// With an empty plan this is exactly [`Self::put`].
+    /// With an empty plan this is exactly [`Self::put_payload`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_put(
         &mut self,
         key: impl Into<String>,
-        data: &str,
+        data: &Arc<Payload>,
         now: SimTime,
         plan: &faultsim::FaultPlan,
         vm: &str,
@@ -100,7 +187,7 @@ impl Bucket {
         if plan.upload_fails(scope, day, attempt) {
             return Err(UploadError { day, attempt });
         }
-        self.put(key, data, now);
+        self.put_payload(key, Arc::clone(data), now);
         Ok(())
     }
 
@@ -188,9 +275,10 @@ mod tests {
     fn try_put_injects_and_recovers() {
         let mut b = Bucket::new("us-east1");
         // Empty plan: identical to put.
+        let x = Arc::new(Payload::from_text("x"));
         b.try_put(
             "k0",
-            "x",
+            &x,
             SimTime::EPOCH,
             &faultsim::FaultPlan::none(),
             "vm-0",
@@ -203,7 +291,7 @@ mod tests {
         // Certain failure: nothing stored, error reports the attempt.
         let mut plan = faultsim::FaultPlan::uniform(1, 0.0);
         plan.rates.upload_failure = 1.0;
-        let err = b.try_put("k1", "x", SimTime::EPOCH, &plan, "vm-0", 3, 2);
+        let err = b.try_put("k1", &x, SimTime::EPOCH, &plan, "vm-0", 3, 2);
         assert_eq!(err, Err(UploadError { day: 3, attempt: 2 }));
         assert!(b.get("k1").is_none());
     }
@@ -224,22 +312,29 @@ mod tests {
     }
 
     #[test]
-    fn packed_objects_meter_their_text() {
+    fn payloads_meter_their_text() {
         // Billing meters the modelled size of the text, whatever the
-        // in-memory codec achieves, and a shared packed object is stored
-        // as is.
-        let text = "speedtest,a=b f=1.5 0\n".repeat(100);
+        // object holds in memory, and a shared payload is stored as is.
+        let text = "speedtest,server=s1,tier=premium \
+                    dloss=0.001,download=412.5,latency=20.25,upload=95.0 3600\n"
+            .repeat(100);
         let mut b = Bucket::new("r");
         b.put("a", &text, SimTime::EPOCH);
+        b.put("t", "not line protocol", SimTime::EPOCH);
         let shared = Arc::clone(&b.get("a").unwrap().data);
-        b.put_packed("b", Arc::clone(&shared), SimTime(1));
+        b.put_payload("b", Arc::clone(&shared), SimTime(1));
         let (a, c) = (b.get("a").unwrap(), b.get("b").unwrap());
         assert_eq!(a.stored_bytes, (text.len() as f64 * 0.22).ceil() as u64);
         assert_eq!(c.stored_bytes, a.stored_bytes);
         assert!(Arc::ptr_eq(&c.data, &shared));
-        assert!(a.data.packed_len() < text.len() / 10);
+        assert!(matches!(*a.data, Payload::Block(_)));
+        assert_eq!((a.data.len(), a.data.unpack()), (text.len(), text.clone()));
+        assert!(a.data.held_bytes() < text.len() / 2);
+        let t = &b.get("t").unwrap().data;
+        assert!(matches!(**t, Payload::Text(_)));
+        assert_eq!(t.held_bytes(), t.len());
         let keys: Vec<&str> = b.objects().map(|(k, _)| k).collect();
-        assert_eq!(keys, ["a", "b"]);
+        assert_eq!(keys, ["a", "b", "t"]);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   prices, interconnect policy) and multi-provider world specs;
 //! * [`region`] — the GCP region table the `gcp` profile is built from;
 //! * [`vm`] — machine types, VM lifecycle, per-VM `tc` caps;
-//! * [`bucket`] — an object store for raw results;
-//! * [`pack`] — the codec the bucket keeps object text in;
+//! * [`bucket`] — an object store for raw results, held as typed blocks;
 //! * [`billing`] — the price schedule and usage metering;
 //! * [`cron`] — hourly scheduling with randomized server order;
 //! * [`quota`] — VM quotas and the budget→servers arithmetic that capped
@@ -25,7 +24,6 @@
 pub mod billing;
 pub mod bucket;
 pub mod cron;
-pub mod pack;
 pub mod provider;
 pub mod quota;
 pub mod region;

@@ -20,8 +20,8 @@ use crate::world::World;
 use clasp_obs::{MetricsRegistry, Observer};
 use cloudsim::billing::Billing;
 use cloudsim::bucket::Bucket;
+use cloudsim::bucket::Payload;
 use cloudsim::cron::CronSchedule;
-use cloudsim::pack::Packed;
 use cloudsim::provider::RegionSpec;
 use cloudsim::vm::MachineType;
 use faultsim::{
@@ -259,9 +259,9 @@ impl ResumeState {
                 .get("unit")
                 .and_then(|v| v.as_str())
                 .ok_or("raw entry missing unit")?;
-            // Checkpoints produced in-process carry shared, packed
-            // snapshots: reuse the existing Arc. A parsed checkpoint's
-            // objects are packed here, once.
+            // Checkpoints produced in-process carry shared snapshots:
+            // reuse the existing Arc. A parsed checkpoint's objects are
+            // read back into blocks here, once.
             let snap = match entry {
                 serde_json::Value::Shared(arc) => arc.clone(),
                 other => std::sync::Arc::new(bucket_snapshot(&bucket_from_snapshot(other)?, label)),
@@ -1262,8 +1262,9 @@ fn tier_salt(tier: Tier) -> u64 {
 }
 
 /// Dumps a bucket's objects to JSON: the durable-storage side of a
-/// campaign checkpoint. Each object's `data` shares the bucket's packed
-/// bytes ([`Packed::to_json`]); it serializes as the object's text.
+/// campaign checkpoint. Each object's `data` shares the bucket's payload
+/// ([`Payload::to_json`]); it serializes as the object's text, rendered
+/// when the checkpoint is written.
 fn bucket_snapshot(bucket: &Bucket, unit: &str) -> serde_json::Value {
     use serde_json::{Map, Value};
     let objects: Vec<Value> = bucket
@@ -1283,10 +1284,10 @@ fn bucket_snapshot(bucket: &Bucket, unit: &str) -> serde_json::Value {
     Value::Object(m)
 }
 
-/// Rebuilds a bucket from its snapshot. Packed objects are shared as
-/// they are; plain ones (a parsed checkpoint) are packed by `put`, which
-/// is deterministic, so either way the bucket equals the one
-/// snapshotted.
+/// Rebuilds a bucket from its snapshot. Shared payloads are kept as they
+/// are; the strings of a parsed checkpoint become the block that renders
+/// each of them, or stay text when none does ([`Payload::from_text`]),
+/// so either way the bucket ingests as the one snapshotted.
 fn bucket_from_snapshot(snap: &serde_json::Value) -> Result<Bucket, String> {
     let region = snap
         .get("bucket")
@@ -1304,13 +1305,13 @@ fn bucket_from_snapshot(snap: &serde_json::Value) -> Result<Bucket, String> {
             .ok_or("object missing key")?;
         let data = obj
             .get("data")
-            .and_then(Packed::from_json)
+            .and_then(Payload::from_json)
             .ok_or("object missing data")?;
         let uploaded = obj
             .get("uploaded")
             .and_then(|v| v.as_u64())
             .ok_or("object missing uploaded")?;
-        bucket.put_packed(key, data, SimTime(uploaded));
+        bucket.put_payload(key, data, SimTime(uploaded));
     }
     Ok(bucket)
 }

@@ -1,23 +1,32 @@
 //! The data pipeline (§3.3): raw bucket objects → time-series database.
 //!
-//! Measurement VMs upload line-protocol batches to the storage bucket;
-//! the analysis VM (same region as the bucket, to avoid inter-region
-//! transfer charges) parses them and indexes the points into the
-//! time-series store, the role InfluxDB plays in the paper.
+//! Measurement VMs upload batches of line protocol to the storage
+//! bucket; the analysis VM (same region as the bucket, to avoid
+//! inter-region transfer charges) reads them and indexes the points into
+//! the time-series store, the role InfluxDB plays in the paper.
+//!
+//! A VM's batch is uploaded as a typed [`Block`] ([`results_block`]):
+//! one series head per server and tier, and per test its time and five
+//! values. Its text, which billing meters, is what the paper's VMs
+//! would upload, but nothing renders it on the way to the store.
 //!
 //! There is one ingest path, [`ingest_streaming`], at every job count
 //! and on resume: objects go into the store one at a time, in bucket
-//! listing order, each unpacked into one reused buffer and read by
-//! [`Db::ingest_lines_with`], which reads the campaign's lines straight
-//! into the interned series, keeps a malformed object out of the store
-//! entirely, and shows each stored row to the caller (a streaming
-//! campaign feeds them to its engine).
+//! listing order. A block is read by [`Db::ingest_block_with`], which
+//! stores exactly what [`Db::ingest_lines_with`] stores from the
+//! block's text; an object held as text is read by the latter. Both
+//! keep a malformed object out of the store entirely and show each
+//! stored row to the caller (a streaming campaign feeds them to its
+//! engine).
 
-use cloudsim::bucket::Bucket;
+use cloudsim::bucket::{Bucket, Payload};
 use simnet::routing::Tier;
 use simnet::time::SimTime;
 use speedtest::client::TestResult;
-use tsdb::{Db, FieldSet, Point, Series, SeriesId};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Arc;
+use tsdb::{Block, Db, FieldSet, Point, Series, SeriesId};
 
 /// Converts one test result into its storable point.
 pub fn result_to_point(r: &TestResult, region: &str, method: &str) -> Point {
@@ -40,43 +49,49 @@ pub fn result_to_point(r: &TestResult, region: &str, method: &str) -> Point {
         .field("uloss", r.upload_loss)
 }
 
-/// Encodes a result batch straight to line protocol, skipping the
-/// per-point `BTreeMap` construction of [`result_to_point`]. The tag and
-/// field keys are written in their sorted order by hand, so the output is
-/// byte-identical to encoding the points (pinned by
-/// `direct_encode_matches_point_encode`) — this is the campaign's hottest
-/// serialization path, ~9 string and 2 map allocations saved per test.
-fn encode_results(results: &[TestResult], region: &str, method: &str) -> String {
-    let mut out = String::with_capacity(results.len() * 112);
+/// A test result's fields, in the sorted order line protocol keys them;
+/// [`results_block`] writes each row's values in this order.
+const RESULT_FIELDS: [&str; 5] = ["dloss", "download", "latency", "uloss", "upload"];
+
+/// A result batch as a typed block, without the per-point `BTreeMap`s
+/// of [`result_to_point`]: one head per (server, tier), built once, with
+/// the tag keys in their sorted order, and per result its time and
+/// values. The block renders exactly the encoding of the points (pinned
+/// by `direct_encode_matches_point_encode`).
+pub fn results_block(results: &[TestResult], region: &str, method: &str) -> Block {
+    let mut block = Block::with_capacity(&RESULT_FIELDS, results.len());
+    let mut heads: HashMap<(&str, bool), u32> = HashMap::new();
+    let mut head = String::new();
     for r in results {
-        out.push_str("speedtest,method=");
-        tsdb::line::escape_into(method, &mut out);
-        out.push_str(",region=");
-        tsdb::line::escape_into(region, &mut out);
-        out.push_str(",server=");
-        tsdb::line::escape_into(&r.server_id, &mut out);
-        out.push_str(",tier=");
-        out.push_str(if r.tier_premium {
-            Tier::Premium.label()
-        } else {
-            Tier::Standard.label()
-        });
-        out.push_str(" dloss=");
-        tsdb::line::float_into(r.download_loss, &mut out);
-        out.push_str(",download=");
-        tsdb::line::float_into(r.download_mbps, &mut out);
-        out.push_str(",latency=");
-        tsdb::line::float_into(r.latency_ms, &mut out);
-        out.push_str(",uloss=");
-        tsdb::line::float_into(r.upload_loss, &mut out);
-        out.push_str(",upload=");
-        tsdb::line::float_into(r.upload_mbps, &mut out);
-        out.push(' ');
-        use std::fmt::Write;
-        write!(out, "{}", r.time.as_secs()).expect("writing to String cannot fail");
-        out.push('\n');
+        let h = match heads.entry((r.server_id.as_str(), r.tier_premium)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                head.clear();
+                head.push_str("speedtest,method=");
+                tsdb::line::escape_into(method, &mut head);
+                head.push_str(",region=");
+                tsdb::line::escape_into(region, &mut head);
+                head.push_str(",server=");
+                tsdb::line::escape_into(&r.server_id, &mut head);
+                head.push_str(",tier=");
+                head.push_str(if r.tier_premium {
+                    Tier::Premium.label()
+                } else {
+                    Tier::Standard.label()
+                });
+                *e.insert(block.push_head(&head))
+            }
+        };
+        let values = [
+            r.download_loss,
+            r.download_mbps,
+            r.latency_ms,
+            r.upload_loss,
+            r.upload_mbps,
+        ];
+        block.push_row(h, r.time.as_secs(), &values);
     }
-    out
+    block
 }
 
 /// Uploads a batch of results as one bucket object
@@ -89,15 +104,15 @@ pub fn upload_batch(
     results: &[TestResult],
     now: SimTime,
 ) -> String {
-    let body = encode_results(results, region, method);
+    let body = Payload::Block(results_block(results, region, method));
     let key = format!("raw/{}/{:04}/{}.lp", region, now.day(), vm);
-    bucket.put(key.clone(), &body, now);
+    bucket.put_payload(key.clone(), Arc::new(body), now);
     key
 }
 
 /// Fault-aware batch upload with bounded sim-time retries.
 ///
-/// Encodes the batch once and attempts the upload under the fault plan;
+/// Builds the batch's block once and attempts the upload under the fault plan;
 /// failed attempts back off per `policy` (each attempt re-draws
 /// independently). Every failure is recorded in `log` under
 /// `log_region`: a later success marks the fault recovered, exhausting
@@ -120,7 +135,7 @@ pub fn upload_batch_resilient(
     let key = format!("raw/{}/{:04}/{}.lp", region, now.day(), vm);
     let jitter_key = faultsim::name_key(vm) ^ now.day();
     let mut fault_id = None;
-    let body = encode_results(results, region, method);
+    let body = Arc::new(Payload::Block(results_block(results, region, method)));
     for attempt in 0..policy.max_attempts {
         match bucket.try_put(key.clone(), &body, now, plan, vm, now.day(), attempt) {
             Ok(()) => {
@@ -168,15 +183,17 @@ pub fn ingest_streaming(
     mut on_row: impl FnMut(SeriesId, &Series, u64, &FieldSet),
 ) -> IngestStats {
     let mut stats = IngestStats::default();
-    let mut text = String::new();
     for key in bucket.list("raw/") {
         let Some(obj) = bucket.get(key) else {
             continue; // listed keys exist
         };
-        obj.data.unpack_into(&mut text);
-        stats.raw_bytes += text.len() as u64;
-        stats.packed_bytes += obj.data.packed_len() as u64;
-        match db.ingest_lines_with(&text, &mut on_row) {
+        stats.raw_bytes += obj.data.len() as u64;
+        stats.packed_bytes += obj.data.held_bytes() as u64;
+        let got = match &*obj.data {
+            Payload::Block(block) => db.ingest_block_with(block, &mut on_row),
+            Payload::Text(text) => db.ingest_lines_with(text, &mut on_row),
+        };
+        match got {
             Ok(got) => {
                 stats.points += got.points;
                 stats.fallback_lines += got.fallback_lines;
@@ -206,7 +223,8 @@ pub struct IngestStats {
     pub errors: u64,
     /// Text bytes of every object read, parsed or not.
     pub raw_bytes: u64,
-    /// Bytes those objects take packed in the bucket.
+    /// Bytes those objects hold in the bucket's memory
+    /// ([`Payload::held_bytes`]).
     pub packed_bytes: u64,
     /// Lines of parsed objects that took the general
     /// [`tsdb::line::decode`] path instead of being read in place (see
@@ -259,7 +277,8 @@ mod tests {
         with_escapes.tier_premium = false;
         with_escapes.download_mbps = 100.0; // integer-valued → ".0" marker
         let results = vec![result("s1", 0, 100.0), with_escapes];
-        let direct = encode_results(&results, "us-west1", "topo");
+        let mut direct = String::new();
+        results_block(&results, "us-west1", "topo").render_into(&mut direct);
         let points: Vec<Point> = results
             .iter()
             .map(|r| result_to_point(r, "us-west1", "topo"))

@@ -140,24 +140,9 @@ impl StreamingElbow {
         elbow_index(&xs, &ys).map(|i| xs[i])
     }
 
-    /// Raw per-threshold counts (for snapshot/restore).
+    /// Raw per-threshold counts (for snapshots).
     pub fn counts(&self) -> &[u64] {
         &self.above
-    }
-
-    /// Rebuilds the sweep from snapshot counts.
-    ///
-    /// # Panics
-    /// Panics when fewer than 3 counts are given or they are not
-    /// monotonically non-increasing (no value distribution produces an
-    /// increasing strict-above curve).
-    pub fn from_counts(above: Vec<u64>, total: u64) -> Self {
-        assert!(above.len() >= 3, "need at least 3 thresholds");
-        assert!(
-            above.windows(2).all(|w| w[0] >= w[1]),
-            "above-counts must be non-increasing"
-        );
-        Self { above, total }
     }
 }
 
@@ -258,17 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_snapshot_roundtrip() {
-        let mut e = StreamingElbow::new(10);
-        for i in 0..57 {
-            e.add((i % 13) as f64 / 13.0);
-        }
-        let back = StreamingElbow::from_counts(e.counts().to_vec(), e.total());
-        assert_eq!(back, e);
-        assert_eq!(back.elbow(), e.elbow());
-    }
-
-    #[test]
     fn empty_streaming_sweep_is_flat() {
         let e = StreamingElbow::new(10);
         assert_eq!(e.elbow(), None);
@@ -279,11 +253,5 @@ mod tests {
     #[should_panic(expected = "at least 3 thresholds")]
     fn tiny_streaming_sweep_panics() {
         StreamingElbow::new(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-increasing")]
-    fn increasing_counts_rejected() {
-        StreamingElbow::from_counts(vec![1, 2, 3], 3);
     }
 }

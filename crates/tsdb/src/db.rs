@@ -3,11 +3,14 @@
 //! batches it applies at its publish barrier.
 //!
 //! Points arrive one [`Point`] at a time ([`Db::insert`],
-//! [`Db::insert_batch`]) or as whole line-protocol objects
+//! [`Db::insert_batch`]), as whole line-protocol objects
 //! ([`Db::ingest_lines`]), which are read straight into the interned
-//! series without building `Point`s; [`Db::ingest_lines_with`] also
-//! shows each stored row to the caller.
+//! series without building `Point`s, or as typed [`Block`]s of such
+//! lines ([`Db::ingest_block_with`]), which store exactly what their text
+//! would without it. The `_with` forms also show each stored row to the
+//! caller.
 
+use crate::block::Block;
 use crate::line::{self, ParseError};
 use crate::point::Point;
 use crate::snapshot::{SeriesSnap, Snapshot};
@@ -388,17 +391,66 @@ impl Db {
             fields.push((k, line::parse_value(v).ok()?));
             Some(())
         })?;
-        let h = head_hash(head);
-        let i = match self.find_series(h, |s| s.plain && s.key == head) {
-            Some(i) => i,
-            None => self.register(h, Series::from_head(head)?),
-        };
+        let i = self.resolve_plain_head(head)?;
         let set = FieldSet::with_names(
             self.schemas(i),
             fields.iter().map(|(k, _)| *k),
             fields.iter().map(|(_, v)| *v).collect(),
         );
         Some((i, time, set))
+    }
+
+    /// The plain series whose key is `head`, registered when there is
+    /// none yet and `head` can name one (see [`Series::from_head`]).
+    fn resolve_plain_head(&mut self, head: &str) -> Option<usize> {
+        let h = head_hash(head);
+        match self.find_series(h, |s| s.plain && s.key == head) {
+            Some(i) => Some(i),
+            None => Some(self.register(h, Series::from_head(head)?)),
+        }
+    }
+
+    /// Stages one line of an object: `Ok(None)` when it is blank, in
+    /// place when [`Self::stage_plain`] can read it, and otherwise
+    /// through [`line::decode`], counted in `fallback_lines`.
+    fn stage_line<'t>(
+        &mut self,
+        raw: &'t str,
+        fields: &mut Vec<(&'t str, f64)>,
+        fallback_lines: &mut u64,
+    ) -> Result<Option<Row>, ParseError> {
+        let text = raw.trim();
+        if text.is_empty() {
+            return Ok(None);
+        }
+        if let Some(row) = self.stage_plain(text, fields) {
+            return Ok(Some(row));
+        }
+        let p = line::decode(text)?;
+        *fallback_lines += 1;
+        Ok(Some(self.stage_point(&p)))
+    }
+
+    /// Stores the rows of an object that staged whole, showing each to
+    /// `visit` first, in order.
+    fn commit_rows(
+        &mut self,
+        rows: Vec<Row>,
+        fallback_lines: u64,
+        mut visit: impl FnMut(SeriesId, &Series, u64, &FieldSet),
+    ) -> LineIngest {
+        self.stats.insert_batches += 1;
+        let points = rows.len() as u64;
+        for (i, time, set) in rows {
+            if let (Some(s), Ok(id)) = (self.series.get(i), u32::try_from(i)) {
+                visit(SeriesId(id), s, time, &set);
+            }
+            self.store((i, time, set));
+        }
+        LineIngest {
+            points,
+            fallback_lines,
+        }
     }
 
     /// Appends a staged row to its series. Rows only name registered
@@ -447,44 +499,105 @@ impl Db {
     pub fn ingest_lines_with(
         &mut self,
         text: &str,
-        mut visit: impl FnMut(SeriesId, &Series, u64, &FieldSet),
+        visit: impl FnMut(SeriesId, &Series, u64, &FieldSet),
     ) -> Result<LineIngest, (usize, ParseError)> {
         let registered = self.series.len();
         let mut rows = Vec::new();
         let mut fields = Vec::new();
         let mut fallback_lines = 0;
         for (n, raw) in text.lines().enumerate() {
-            let text = raw.trim();
-            if text.is_empty() {
-                continue;
-            }
-            if let Some(row) = self.stage_plain(text, &mut fields) {
-                rows.push(row);
-                continue;
-            }
-            match line::decode(text) {
-                Ok(p) => {
-                    fallback_lines += 1;
-                    rows.push(self.stage_point(&p));
-                }
+            match self.stage_line(raw, &mut fields, &mut fallback_lines) {
+                Ok(Some(row)) => rows.push(row),
+                Ok(None) => {}
                 Err(e) => {
                     self.unregister_from(registered);
                     return Err((n + 1, e));
                 }
             }
         }
-        self.stats.insert_batches += 1;
-        let points = rows.len() as u64;
-        for (i, time, set) in rows {
-            if let (Some(s), Ok(id)) = (self.series.get(i), u32::try_from(i)) {
-                visit(SeriesId(id), s, time, &set);
-            }
-            self.store((i, time, set));
+        Ok(self.commit_rows(rows, fallback_lines, visit))
+    }
+
+    /// [`Db::ingest_lines_with`] over the text `block` renders, without
+    /// the text: the same result, rows, series, ids and [`DbStats`], and
+    /// on a bad row the same line number and error.
+    ///
+    /// Each head is resolved once, at its first row, with the lookup and
+    /// registration the line path makes for a line it reads in place;
+    /// later rows of the head reuse the series, and their values are
+    /// stored as they are. That is what the line path stores: a finite
+    /// value's rendering parses back to its own bits. A row that the
+    /// line path would not read in place (an escaped or odd head, odd
+    /// field names, a non-finite value) is rendered and goes through the
+    /// line path itself, and a block whose rows are not one line each is
+    /// rendered whole.
+    pub fn ingest_block_with(
+        &mut self,
+        block: &Block,
+        visit: impl FnMut(SeriesId, &Series, u64, &FieldSet),
+    ) -> Result<LineIngest, (usize, ParseError)> {
+        if !block.one_line_per_row() {
+            let mut text = String::new();
+            block.render_into(&mut text);
+            return self.ingest_lines_with(&text, visit);
         }
-        Ok(LineIngest {
-            points,
-            fallback_lines,
-        })
+        let registered = self.series.len();
+        let fields_plain = block.plain_fields();
+        // Per head: unresolved, or the plain series its rows go to
+        // (`None`: rows take the line path).
+        let mut series: Vec<Option<Option<usize>>> = vec![None; block.head_count()];
+        let mut rows = Vec::with_capacity(block.len());
+        let mut fallback_lines = 0;
+        let mut line = String::new();
+        for n in 0..block.len() {
+            let Some((h, time, values)) = block.row(n) else {
+                continue;
+            };
+            let head = block.head(h);
+            let resolved = series.get_mut(h as usize).and_then(|slot| {
+                *slot.get_or_insert_with(|| {
+                    // A plain series key has no space or escape, so only
+                    // leading whitespace, which the line path trims off
+                    // before it reads the head, needs ruling out here.
+                    let untrimmed = head.trim_start().len() == head.len();
+                    (fields_plain && untrimmed)
+                        .then(|| self.resolve_plain_head(head))
+                        .flatten()
+                })
+            });
+            let staged = match resolved {
+                Some(i) if values.iter().all(|v| v.is_finite()) => {
+                    let names = block.field_names();
+                    let set = FieldSet::with_names(self.schemas(i), names, values.into());
+                    Ok(Some((i, time, set)))
+                }
+                _ => self.stage_block_line(block, n, &mut line, &mut fallback_lines),
+            };
+            match staged {
+                Ok(Some(row)) => rows.push(row),
+                Ok(None) => {}
+                Err(e) => {
+                    self.unregister_from(registered);
+                    return Err((n + 1, e));
+                }
+            }
+        }
+        Ok(self.commit_rows(rows, fallback_lines, visit))
+    }
+
+    /// Stages row `r` of `block` through the line path: its line is
+    /// rendered into `line` and read as [`Db::ingest_lines_with`] reads
+    /// it.
+    fn stage_block_line(
+        &mut self,
+        block: &Block,
+        r: usize,
+        line: &mut String,
+        fallback_lines: &mut u64,
+    ) -> Result<Option<Row>, ParseError> {
+        line.clear();
+        block.row_line_into(r, line);
+        self.stage_line(line, &mut Vec::new(), fallback_lines)
     }
 
     /// Number of distinct series.

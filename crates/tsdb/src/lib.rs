@@ -9,6 +9,8 @@
 //!
 //! * [`point`] — the data model ([`Point`], tags, fields);
 //! * [`line`](mod@line) — line-protocol encode/parse;
+//! * [`block`] — typed blocks of line-protocol rows, rendered only
+//!   when asked for text;
 //! * [`db`] — storage and series indexing ([`Db`]);
 //! * [`snapshot`] — immutable generation-stamped views for lock-free
 //!   concurrent reads ([`Snapshot`]);
@@ -18,6 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod db;
 pub mod line;
 pub mod point;
@@ -25,6 +28,7 @@ pub mod query;
 pub mod rollup;
 pub mod snapshot;
 
+pub use block::Block;
 pub use db::{Db, DbStats, FieldNames, FieldSet, LineIngest, Sample, Series, SeriesId};
 pub use point::Point;
 pub use query::{Aggregate, Query, Row, SeriesResult};

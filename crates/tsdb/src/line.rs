@@ -72,6 +72,28 @@ pub fn float_into(v: f64, out: &mut String) {
     }
 }
 
+/// Byte length of what [`float_into`] appends for `v`, counted without
+/// writing it. `Display` writes a finite `f64` with digits, `-` and at
+/// most one `.`, never an exponent, so the ".0" marker goes on exactly
+/// the finite values it writes without a `.`.
+pub fn float_len(v: f64) -> usize {
+    struct Count {
+        len: usize,
+        dot: bool,
+    }
+    impl std::fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.len += s.len();
+            self.dot |= s.contains('.');
+            Ok(())
+        }
+    }
+    use std::fmt::Write;
+    let mut count = Count { len: 0, dot: false };
+    let _ = write!(count, "{v}"); // `Count` never fails
+    count.len + if v.is_finite() && !count.dot { 2 } else { 0 }
+}
+
 /// True when `s` contains a character the protocol escapes (`\`, space,
 /// `,`, `=`). A series whose parts all pass this test has a canonical key
 /// that is also its line-protocol head.
