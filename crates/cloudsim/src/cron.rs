@@ -93,34 +93,6 @@ impl CronSchedule {
             .collect()
     }
 
-    /// Lays out one hour of tests under a cron fault effect: `Miss`
-    /// yields no slots at all (the tick never fired — the watchdog must
-    /// re-query with a higher attempt number), `Skew(s)` shifts every
-    /// slot `s` seconds later while keeping the shuffled order (the
-    /// shuffle keys off the *nominal* hour, so a skewed tick still runs
-    /// the same server sequence it would have on time). `OnTime` is
-    /// exactly [`Self::hour_slots`].
-    pub fn hour_slots_with_effect<T: Copy>(
-        &self,
-        hour_start: SimTime,
-        assigned: &[T],
-        effect: faultsim::CronEffect,
-    ) -> Option<Vec<Slot<T>>> {
-        match effect {
-            faultsim::CronEffect::Miss => None,
-            faultsim::CronEffect::OnTime => Some(self.hour_slots(hour_start, assigned)),
-            faultsim::CronEffect::Skew(s) => Some(
-                self.hour_slots(hour_start, assigned)
-                    .into_iter()
-                    .map(|slot| Slot {
-                        item: slot.item,
-                        start: slot.start + s,
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
     /// VMs needed so every one of `n_servers` gets one test per hour.
     pub fn vms_needed(&self, n_servers: usize) -> usize {
         n_servers.div_ceil(self.budget.max_tests_per_hour())
@@ -202,35 +174,6 @@ mod tests {
         let mut sorted = h0.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, servers);
-    }
-
-    #[test]
-    fn fault_effects_shape_the_hour() {
-        use faultsim::CronEffect;
-        let c = CronSchedule::new(9);
-        let servers: Vec<u32> = (0..10).collect();
-        let start = SimTime::from_day_hour(2, 4);
-
-        // OnTime is bit-identical to the plain path.
-        let plain = c.hour_slots(start, &servers);
-        let on_time = c
-            .hour_slots_with_effect(start, &servers, CronEffect::OnTime)
-            .unwrap();
-        assert_eq!(plain, on_time);
-
-        // Miss yields nothing.
-        assert!(c
-            .hour_slots_with_effect(start, &servers, CronEffect::Miss)
-            .is_none());
-
-        // Skew keeps the order, shifts the times.
-        let skewed = c
-            .hour_slots_with_effect(start, &servers, CronEffect::Skew(90))
-            .unwrap();
-        for (a, b) in plain.iter().zip(&skewed) {
-            assert_eq!(a.item, b.item);
-            assert_eq!(a.start + 90, b.start);
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use clasp_obs::{MetricsRegistry, Observer};
 use cloudsim::billing::Billing;
 use cloudsim::bucket::Bucket;
 use cloudsim::bucket::Payload;
-use cloudsim::cron::CronSchedule;
+use cloudsim::cron::{CronSchedule, Slot};
 use cloudsim::provider::RegionSpec;
 use cloudsim::vm::MachineType;
 use faultsim::{
@@ -159,10 +159,13 @@ pub struct CampaignResult {
     /// Expected vs. collected server-hours, per region unit. Under any
     /// fault plan this reconciles exactly against [`Self::fault_log`].
     pub completeness: CompletenessReport,
-    /// One checkpoint per completed work unit (JSON). Feeding any of
-    /// them to [`Runner::resume_from`](crate::runner::Runner::resume_from)
+    /// One checkpoint per work unit (JSON), the campaign state written
+    /// out after that unit merged. Feeding any of them to
+    /// [`Runner::resume_from`](crate::runner::Runner::resume_from)
     /// re-produces the identical final result without re-running the
-    /// completed units.
+    /// completed units. Each embeds the raw snapshots of every unit
+    /// merged so far as [`serde_json::Value::Shared`] subtrees of the
+    /// same `Arc`s, so holding all of them costs those snapshots once.
     pub checkpoints: Vec<serde_json::Value>,
 }
 
@@ -178,10 +181,16 @@ struct Unit<'w> {
     label: String,
     region: &'w RegionSpec,
     kind: UnitKind,
+    /// When the unit's VMs start measuring, and for how many days.
+    start: SimTime,
+    days: u64,
 }
 
-/// Cumulative campaign state, restored from a checkpoint or fresh.
-struct ResumeState {
+/// Everything a campaign carries from one work unit to the next, and
+/// all that a checkpoint holds. Phase 3 folds each unit into it with
+/// [`Self::merge_unit`]; [`Self::checkpoint`] writes it out and
+/// [`Self::from_checkpoint`] reads it back.
+struct CampaignState {
     vm_count: usize,
     tests_run: u64,
     tainted: u64,
@@ -201,9 +210,17 @@ struct ResumeState {
     exec_metrics: MetricsRegistry,
 }
 
-impl ResumeState {
-    fn load(resume: Option<&serde_json::Value>) -> Result<ResumeState, String> {
-        let mut st = ResumeState {
+impl CampaignState {
+    /// A fresh run's state (`resume` is `None`), holding the plan's link
+    /// faults, or the state a checkpoint was taken at. Every field a
+    /// checkpoint holds is required, and every completed unit must have
+    /// its raw snapshot: the run fails here, before any work, rather
+    /// than after executing the pending units.
+    fn from_checkpoint(
+        resume: Option<&serde_json::Value>,
+        fplan: &FaultPlan,
+    ) -> Result<CampaignState, String> {
+        let mut st = CampaignState {
             vm_count: 0,
             tests_run: 0,
             tainted: 0,
@@ -215,6 +232,21 @@ impl ResumeState {
             exec_metrics: MetricsRegistry::new(),
         };
         let Some(ckpt) = resume else {
+            // Link faults degrade paths rather than eating VM-hours, so
+            // they are marked recovered at window end and lose no
+            // server-hours. Recorded first, their ids precede every
+            // VM-loop fault; a resumed run restores them from the log.
+            for lf in &fplan.link_faults {
+                let id = st.flog.record(
+                    lf.start_hour * 3600,
+                    lf.kind,
+                    "interconnect",
+                    &format!("link-{}", lf.link),
+                    format!("{}h, magnitude {}", lf.duration_hours, lf.magnitude),
+                );
+                st.flog
+                    .mark_recovered(id, 0, (lf.start_hour + lf.duration_hours) * 3600);
+            }
             return Ok(st);
         };
         // Unknown keys are ignored, among them the `"stream"` engine
@@ -268,10 +300,126 @@ impl ResumeState {
             };
             st.raw_store.push((label.to_string(), snap));
         }
+        if let Some(label) = st
+            .completed
+            .iter()
+            .find(|c| !st.raw_store.iter().any(|(l, _)| l == *c))
+        {
+            return Err(format!("checkpoint has no raw data for unit {label:?}"));
+        }
         if let Some(exec) = ckpt.get("obs").and_then(|o| o.get("exec")) {
             st.exec_metrics = MetricsRegistry::from_json(exec)?;
         }
         Ok(st)
+    }
+
+    /// Phase 3 for one unit: folds its VMs' outputs, in canonical order,
+    /// into the state and returns the unit's bucket. A unit completed
+    /// before the resume gets its bucket back from the raw snapshot and
+    /// changes nothing.
+    ///
+    /// The transfer meters and completeness tallies are `u64` sums, so
+    /// their order is cosmetic. Fault logs append with an id rebase, so
+    /// canonical order reproduces one shared log, and the `f64` VM-hour
+    /// and storage meters are issued as ops in canonical unit order
+    /// instead of summing worker partials.
+    fn merge_unit(
+        &mut self,
+        unit: &Unit<'_>,
+        prep: &UnitPrep<'_>,
+        outputs: impl Iterator<Item = VmOutput>,
+    ) -> Result<Bucket, String> {
+        let Unit {
+            label,
+            region,
+            kind,
+            days,
+            ..
+        } = unit;
+        if prep.done {
+            let (_, snap) = self
+                .raw_store
+                .iter()
+                .find(|(l, _)| l == label)
+                .ok_or_else(|| format!("checkpoint has no raw data for unit {label:?}"))?;
+            return bucket_from_snapshot(snap);
+        }
+        let mut bucket = match kind {
+            UnitKind::Topo { .. } => Bucket::new(region.name.clone()),
+            UnitKind::Diff => Bucket::new(format!("{}-diff", region.name)),
+        };
+        for vo in outputs {
+            self.exec_metrics.merge(&vo.metrics);
+            self.flog.absorb(vo.flog);
+            self.report.merge(&vo.report);
+            self.billing.premium_egress_bytes += vo.billing.premium_egress_bytes;
+            self.billing.standard_egress_bytes += vo.billing.standard_egress_bytes;
+            self.billing.ingress_bytes += vo.billing.ingress_bytes;
+            self.tests_run += vo.tests_run;
+            self.tainted += vo.tainted;
+            bucket.absorb(vo.bucket);
+            if let UnitKind::Diff = kind {
+                self.vm_count += 1;
+                self.billing
+                    .record_vm_hours(MachineType::N1Standard2, *days as f64 * 24.0);
+            }
+        }
+        if let UnitKind::Topo { .. } = kind {
+            self.vm_count += prep.n_vms;
+            self.billing.record_vm_hours(
+                MachineType::N1Standard2,
+                prep.n_vms as f64 * *days as f64 * 24.0,
+            );
+        }
+        self.billing
+            .record_storage(bucket.stored_bytes(), *days as f64 * 24.0);
+        self.raw_store.push((
+            label.clone(),
+            std::sync::Arc::new(bucket_snapshot(&bucket, label)),
+        ));
+        self.completed.push(label.clone());
+        Ok(bucket)
+    }
+
+    /// Everything needed to resume after the units merged so far, with
+    /// their raw buckets as durable storage. An observed run adds the
+    /// `"obs"` section with the execution metrics a resume skips;
+    /// without it the bytes are those of the pre-observability format.
+    /// No engine state is written: a resumed streaming run feeds a fresh
+    /// engine the replayed units' rows, which rebuilds it.
+    fn checkpoint(&self, observed: bool) -> serde_json::Value {
+        use serde_json::{Map, Value};
+        let mut counters = Map::new();
+        counters.insert("vm_count".into(), self.vm_count.into());
+        counters.insert("tests_run".into(), self.tests_run.into());
+        counters.insert("tainted".into(), self.tainted.into());
+        let mut m = Map::new();
+        m.insert(
+            "completed".into(),
+            Value::Array(self.completed.iter().map(|c| c.clone().into()).collect()),
+        );
+        m.insert("counters".into(), Value::Object(counters));
+        m.insert("billing".into(), billing_to_json(&self.billing));
+        m.insert("fault_log".into(), self.flog.to_json());
+        m.insert("completeness".into(), self.report.to_json());
+        // Shared, not cloned: each checkpoint embeds the same snapshot
+        // subtrees, so the serialized bytes are identical to a deep copy
+        // while the in-memory cost per checkpoint stays O(units).
+        m.insert(
+            "raw".into(),
+            Value::Array(
+                self.raw_store
+                    .iter()
+                    .map(|(_, snap)| Value::Shared(snap.clone()))
+                    .collect(),
+            ),
+        );
+        if observed {
+            let mut o = Map::new();
+            o.insert("exec".into(), self.exec_metrics.to_json());
+            m.insert("obs".into(), Value::Object(o));
+        }
+        Value::Object(m)
     }
 }
 
@@ -284,6 +432,8 @@ enum UnitSel {
 /// Phase-1 output: one prepared unit.
 struct UnitPrep<'w> {
     sel: UnitSel,
+    /// Completed before the resume: replayed from its raw snapshot.
+    done: bool,
     /// Total VMs the unit's plan deploys (topo only; diff counts per VM
     /// at merge). Zero for already-completed units.
     n_vms: usize,
@@ -319,8 +469,6 @@ struct VmTask<'w> {
     /// are scoped to it, so VM-local buckets must carry the same one).
     bucket_region: String,
     method: &'static str,
-    start: SimTime,
-    days: u64,
 }
 
 /// Everything one VM's campaign produced, buffered for the ordered
@@ -338,19 +486,6 @@ struct VmOutput {
     /// merged into the cumulative execution metrics in canonical unit
     /// order. Empty when no observer is attached.
     metrics: MetricsRegistry,
-}
-
-/// Shared per-VM-loop parameters (the invariants of one
-/// region/tier/assignment run).
-struct VmLoopParams<'a> {
-    region: &'a RegionSpec,
-    n_vms: usize,
-    tier: Tier,
-    tier_salt: u64,
-    method: &'a str,
-    start: SimTime,
-    days: u64,
-    comp_label: &'a str,
 }
 
 /// The campaign driver.
@@ -407,12 +542,15 @@ impl<'w> Campaign<'w> {
                 .region(name)
                 .ok_or_else(|| format!("campaign: unknown region {name}"))
         };
+        let (days, diff_days) = (self.config.days, self.config.diff_days);
         let mut units = Vec::new();
         for (name, budget) in &self.config.topo_regions {
             units.push(Unit {
                 label: format!("topo:{name}"),
                 region: region(name)?,
                 kind: UnitKind::Topo { budget: *budget },
+                start: SimTime::EPOCH,
+                days,
             });
         }
         for name in &self.config.diff_regions {
@@ -420,6 +558,9 @@ impl<'w> Campaign<'w> {
                 label: format!("diff:{name}"),
                 region: region(name)?,
                 kind: UnitKind::Diff,
+                // Aligned to the campaign end.
+                start: SimTime((days - diff_days) * SECONDS_PER_DAY),
+                days: diff_days,
             });
         }
         Ok(units)
@@ -430,23 +571,19 @@ impl<'w> Campaign<'w> {
     /// fresh or resumed. Per-unit prep (selection + deployment plan)
     /// and per-VM campaign loops are scattered across workers into
     /// VM-local buffers — inline on the caller's thread at `jobs = 1` —
-    /// then merged in canonical unit order. An observer is only a sink:
-    /// it opens a span per phase and counts, but never changes what
-    /// runs. Every output — points, checkpoints, fault ids, billing,
-    /// completeness rows, stream labels — is bit-identical at every job
-    /// count:
+    /// then merged in canonical unit order into one `CampaignState`,
+    /// which is checkpointed after each unit. An observer is only a
+    /// sink: it opens a span per phase and counts, but never changes
+    /// what runs. Every output — points, checkpoints, fault ids,
+    /// billing, completeness rows, stream labels — is bit-identical at
+    /// every job count: fault ids rebase on append, the `u64` tallies
+    /// commute, the `f64` meters are issued in canonical unit order, and
+    /// each merged unit bucket is ingested in its key order, which is
+    /// what the streaming engine consumes.
     ///
-    /// * fault ids are log positions, so appending VM-local logs in
-    ///   canonical order with an id rebase reproduces one shared log;
-    /// * completeness tallies and transfer bytes are unsigned sums,
-    ///   which commute;
-    /// * VM-hour and storage meters are `f64` (non-associative), so the
-    ///   merge issues those ops in canonical unit order instead of
-    ///   summing worker partials;
-    /// * bucket keys are disjoint per VM and `BTreeMap`-stored, so
-    ///   absorb order cannot change the listing, and the merged unit
-    ///   bucket is ingested in that listing order — which is what the
-    ///   streaming engine consumes.
+    /// An unknown region or a malformed checkpoint, a completed unit
+    /// without its raw snapshot included, fails the run before any work
+    /// starts, so an attached engine has seen nothing.
     pub(crate) fn run_resumable(
         &self,
         resume: Option<&serde_json::Value>,
@@ -455,29 +592,14 @@ impl<'w> Campaign<'w> {
         jobs: usize,
     ) -> Result<CampaignResult, String> {
         let units = self.units()?;
-        let client = SpeedTestClient::default();
+        let mut state = CampaignState::from_checkpoint(resume, &self.config.fault_plan)?;
         let base_cron = CronSchedule::new(self.config.seed ^ 0xc407);
-        let fplan = &self.config.fault_plan;
         let mut db = Db::new();
-        let st = ResumeState::load(resume)?;
-        let mut vm_count = st.vm_count;
-        let mut tests_run = st.tests_run;
-        let mut tainted = st.tainted;
-        let mut billing = st.billing;
-        let mut flog = st.flog;
-        let mut report = st.report;
-        let mut completed = st.completed;
-        let mut raw_store = st.raw_store;
-        let mut exec_metrics = st.exec_metrics;
-        record_link_faults(fplan, resume.is_none(), &mut flog);
         let mut raw_objects = 0u64;
         let mut buckets = Vec::new();
         let mut topo_selections = Vec::new();
         let mut diff_selections = Vec::new();
         let mut checkpoints = Vec::new();
-
-        let done: Vec<bool> = units.iter().map(|u| completed.contains(&u.label)).collect();
-        let diff_start = SimTime((self.config.days - self.config.diff_days) * SECONDS_PER_DAY);
 
         // Phase 1: per-unit prep — selections (pure functions of world
         // + config, recomputed identically whether resuming or not) and
@@ -486,134 +608,20 @@ impl<'w> Campaign<'w> {
         // route cache is memoization only, so cache state can never
         // change a result — only skip recomputation.
         let span1 = observer.map(|o| o.span("phase1:unit_prep"));
-        let degradations = fplan.link_degradations();
-        let (preps, shards): (Vec<UnitPrep>, _) = exec::scatter_metered(
-            jobs,
-            units.len(),
-            || {
-                let mut session = self.world.session();
-                session.perf.set_degradations(degradations.clone());
-                session
-            },
-            |session, shard, i| {
-                shard.inc("prep.units", 1);
-                let Unit { region, kind, .. } = &units[i];
-                let region_city = region.city_id(&self.world.topo.cities);
-                match kind {
-                    UnitKind::Topo { budget } => {
-                        let sel = topology::select(
-                            self.world,
-                            &session.paths,
-                            &region.name,
-                            region_city,
-                            *budget,
-                            &self.config.pilot,
-                        );
-                        shard.inc("prep.pilot_flows", sel.pilot_flows);
-                        shard.inc("prep.pilot_paths", sel.pilot_paths);
-                        // The plan (and the vm_plan metrics derived
-                        // from it) is computed even for completed
-                        // units: it is a pure function of world +
-                        // config, so recomputing keeps observer output
-                        // identical across checkpoint resumes.
-                        let plan = plan::plan_region(region, &sel.servers, &base_cron);
-                        let vm_plan = plan
-                            .assignments
-                            .iter()
-                            .enumerate()
-                            .map(|(vm_idx, a)| {
-                                let name = format!(
-                                    "clasp-{}-{}-{vm_idx}",
-                                    region.name,
-                                    Tier::Premium.label()
-                                );
-                                let assigned = a.len() as u64;
-                                (name, assigned, assigned * self.config.days * 24)
-                            })
-                            .collect();
-                        let mut vms = Vec::new();
-                        let mut n_vms = 0;
-                        if !done[i] {
-                            n_vms = plan.n_vms;
-                            for (vm_idx, assignment) in plan.assignments.iter().enumerate() {
-                                vms.push(VmTask {
-                                    unit: i,
-                                    vm_idx,
-                                    n_vms: plan.n_vms,
-                                    tier: Tier::Premium,
-                                    pairs: self.resolve_pairs(
-                                        session,
-                                        &client,
-                                        region,
-                                        Tier::Premium,
-                                        assignment,
-                                    ),
-                                    assignment: assignment.clone(),
-                                    comp_label: region.name.to_string(),
-                                    bucket_region: region.name.to_string(),
-                                    method: "topo",
-                                    start: SimTime::EPOCH,
-                                    days: self.config.days,
-                                });
-                            }
-                        }
-                        UnitPrep {
-                            sel: UnitSel::Topo(sel),
-                            n_vms,
-                            vms,
-                            vm_plan,
-                        }
-                    }
-                    UnitKind::Diff => {
-                        let sel = differential::select(
-                            self.world,
-                            &session.paths,
-                            &session.perf,
-                            &region.name,
-                            region_city,
-                            &self.config.pretest,
-                        );
-                        shard.inc("prep.pretest_probes", sel.pretest_probes);
-                        shard.inc("prep.pretest_queue_series", sel.pretest_queue_series);
-                        let servers: Vec<String> =
-                            sel.picks.iter().map(|p| p.server_id.clone()).collect();
-                        let vm_plan = [Tier::Premium, Tier::Standard]
-                            .iter()
-                            .map(|tier| {
-                                let name = format!("clasp-{}-{}-0", region.name, tier.label());
-                                let assigned = servers.len() as u64;
-                                (name, assigned, assigned * self.config.diff_days * 24)
-                            })
-                            .collect();
-                        let mut vms = Vec::new();
-                        if !done[i] {
-                            for tier in [Tier::Premium, Tier::Standard] {
-                                vms.push(VmTask {
-                                    unit: i,
-                                    vm_idx: 0,
-                                    n_vms: 1,
-                                    tier,
-                                    pairs: self
-                                        .resolve_pairs(session, &client, region, tier, &servers),
-                                    assignment: servers.clone(),
-                                    comp_label: format!("{}-diff-{}", region.name, tier.label()),
-                                    bucket_region: format!("{}-diff", region.name),
-                                    method: "diff",
-                                    start: diff_start,
-                                    days: self.config.diff_days,
-                                });
-                            }
-                        }
-                        UnitPrep {
-                            sel: UnitSel::Diff(sel),
-                            n_vms: 0,
-                            vms,
-                            vm_plan,
-                        }
-                    }
-                }
-            },
-        );
+        let degradations = self.config.fault_plan.link_degradations();
+        let new_session = || {
+            let mut session = self.world.session();
+            session.perf.set_degradations(degradations.clone());
+            session
+        };
+        let done: Vec<bool> = units
+            .iter()
+            .map(|u| state.completed.contains(&u.label))
+            .collect();
+        let (preps, shards): (Vec<UnitPrep>, _) =
+            exec::scatter_metered(jobs, units.len(), new_session, |session, shard, i| {
+                self.prep_unit(session, shard, &base_cron, &units[i], i, done[i])
+            });
         if let Some(obs) = observer {
             for shard in &shards {
                 obs.merge_shard(shard);
@@ -639,75 +647,17 @@ impl<'w> Campaign<'w> {
         // would cap the speedup at the largest region's share.
         let span2 = observer.map(|o| o.span("phase2:vm_exec"));
         let tasks: Vec<&VmTask> = preps.iter().flat_map(|p| p.vms.iter()).collect();
-        let outputs: Vec<VmOutput> = exec::scatter_with(
-            jobs,
-            tasks.len(),
-            || {
-                let mut session = self.world.session();
-                session.perf.set_degradations(degradations.clone());
-                session
-            },
-            |session, t| {
+        let outputs: Vec<VmOutput> =
+            exec::scatter_with(jobs, tasks.len(), new_session, |session, t| {
                 let task = tasks[t];
-                let region = units[task.unit].region;
-                let salt = tier_salt(task.tier);
-                let cron = CronSchedule {
-                    budget: base_cron.budget,
-                    seed: base_cron.seed ^ salt,
-                };
-                let mut out = VmOutput {
-                    bucket: Bucket::new(task.bucket_region.clone()),
-                    billing: Billing::new(),
-                    tests_run: 0,
-                    tainted: 0,
-                    flog: FaultLog::new(),
-                    report: CompletenessReport::new(),
-                    metrics: MetricsRegistry::new(),
-                };
-                let params = VmLoopParams {
-                    region,
-                    n_vms: task.n_vms,
-                    tier: task.tier,
-                    tier_salt: salt,
-                    method: task.method,
-                    start: task.start,
-                    days: task.days,
-                    comp_label: &task.comp_label,
-                };
-                let mut vm_metrics = observer.map(|_| MetricsRegistry::new());
                 self.run_vm_loop(
                     session,
-                    &client,
-                    &cron,
-                    &params,
-                    task.vm_idx,
-                    &task.assignment,
-                    &task.pairs,
-                    &mut out.bucket,
-                    &mut out.billing,
-                    &mut out.tests_run,
-                    &mut out.tainted,
-                    fplan,
-                    &mut out.flog,
-                    &mut out.report,
-                    vm_metrics.as_mut(),
-                );
-                if let Some(m) = vm_metrics.as_mut() {
-                    let label = &units[task.unit].label;
-                    let vm = format!(
-                        "clasp-{}-{}-{}",
-                        region.name,
-                        task.tier.label(),
-                        task.vm_idx
-                    );
-                    m.inc(&format!("vm.{label}/{vm}.tests_executed"), out.tests_run);
-                    m.inc("exec.tests_executed", out.tests_run);
-                    m.inc("exec.tests_tainted", out.tainted);
-                }
-                out.metrics = vm_metrics.unwrap_or_default();
-                out
-            },
-        );
+                    &base_cron,
+                    &units[task.unit],
+                    task,
+                    observer.is_some(),
+                )
+            });
         drop(tasks);
         if let Some(obs) = observer {
             // Logical time covers *planned* VMs (vm_plan includes the
@@ -721,73 +671,11 @@ impl<'w> Campaign<'w> {
         // one unit at a time, from the buffered worker outputs.
         let span3 = observer.map(|o| o.span("phase3:merge"));
         let mut out_iter = outputs.into_iter();
-        for (i, (unit, prep)) in units.iter().zip(preps).enumerate() {
-            let Unit {
-                label,
-                region,
-                kind,
-            } = unit;
-            let mut bucket = if done[i] {
-                let (_, snap) = raw_store
-                    .iter()
-                    .find(|(l, _)| l == label)
-                    .ok_or_else(|| format!("checkpoint has no raw data for unit {label:?}"))?;
-                bucket_from_snapshot(snap)?
-            } else {
-                match kind {
-                    UnitKind::Topo { .. } => Bucket::new(region.name.clone()),
-                    UnitKind::Diff => Bucket::new(format!("{}-diff", region.name)),
-                }
-            };
-            if !done[i] {
-                // Outputs come back in task order, which is unit order:
-                // this unit's are the next `prep.vms.len()` of them.
-                for vo in out_iter.by_ref().take(prep.vms.len()) {
-                    // Shards merge in canonical VM order (u64 sums, so
-                    // order is cosmetic); the cumulative registry is
-                    // what checkpoints persist for completed units.
-                    exec_metrics.merge(&vo.metrics);
-                    flog.absorb(vo.flog);
-                    report.merge(&vo.report);
-                    // Transfer meters are u64 — safe to sum. The f64
-                    // meters below are issued as ops in canonical order.
-                    billing.premium_egress_bytes += vo.billing.premium_egress_bytes;
-                    billing.standard_egress_bytes += vo.billing.standard_egress_bytes;
-                    billing.ingress_bytes += vo.billing.ingress_bytes;
-                    tests_run += vo.tests_run;
-                    tainted += vo.tainted;
-                    bucket.absorb(vo.bucket);
-                    if let UnitKind::Diff = kind {
-                        vm_count += 1;
-                        billing.record_vm_hours(
-                            MachineType::N1Standard2,
-                            self.config.diff_days as f64 * 24.0,
-                        );
-                    }
-                }
-                match kind {
-                    UnitKind::Topo { .. } => {
-                        vm_count += prep.n_vms;
-                        billing.record_vm_hours(
-                            MachineType::N1Standard2,
-                            prep.n_vms as f64 * self.config.days as f64 * 24.0,
-                        );
-                        billing
-                            .record_storage(bucket.stored_bytes(), self.config.days as f64 * 24.0);
-                    }
-                    UnitKind::Diff => {
-                        billing.record_storage(
-                            bucket.stored_bytes(),
-                            self.config.diff_days as f64 * 24.0,
-                        );
-                    }
-                }
-                raw_store.push((
-                    label.clone(),
-                    std::sync::Arc::new(bucket_snapshot(&bucket, label)),
-                ));
-                completed.push(label.clone());
-            }
+        for (unit, prep) in units.iter().zip(preps) {
+            // Outputs come back in task order, which is unit order: this
+            // unit's are the next `prep.vms.len()` of them.
+            let bucket = state.merge_unit(unit, &prep, out_iter.by_ref().take(prep.vms.len()))?;
+            let label = &unit.label;
             // Fresh and replayed units alike stream out of the merged
             // unit bucket: its `raw/` listing is lexicographic, so the
             // ingest order (and the order the stream engine consumes)
@@ -830,25 +718,7 @@ impl<'w> Campaign<'w> {
                 UnitSel::Topo(sel) => topo_selections.push(sel),
                 UnitSel::Diff(sel) => diff_selections.push(sel),
             }
-            // Periodic checkpoint: everything needed to resume after
-            // this unit, with the raw bucket dumps as durable storage.
-            // It carries no engine state: a resumed streaming run feeds
-            // a fresh engine the replayed units' rows, which rebuilds
-            // the same detection state.
-            let mut ckpt = make_checkpoint(
-                &completed, &billing, vm_count, tests_run, tainted, &flog, &report, &raw_store,
-            );
-            if observer.is_some() {
-                // Only observed runs carry the telemetry section —
-                // observer-less checkpoints stay byte-identical to the
-                // pre-observability format.
-                if let serde_json::Value::Object(m) = &mut ckpt {
-                    let mut o = serde_json::Map::new();
-                    o.insert("exec".into(), exec_metrics.to_json());
-                    m.insert("obs".into(), serde_json::Value::Object(o));
-                }
-            }
-            checkpoints.push(ckpt);
+            checkpoints.push(state.checkpoint(observer.is_some()));
         }
         drop(span3);
 
@@ -856,25 +726,148 @@ impl<'w> Campaign<'w> {
         // fault outcomes are folded in exactly once, here, after all
         // units merged, so a resumed run absorbs each fault a single
         // time.
-        report.absorb_log(&flog);
+        state.report.absorb_log(&state.flog);
         if let Some(obs) = observer {
-            obs.merge_shard(&exec_metrics);
+            obs.merge_shard(&state.exec_metrics);
         }
 
         Ok(CampaignResult {
             db,
             topo_selections,
             diff_selections,
-            billing,
-            vm_count,
-            tests_run,
-            tainted_tests: tainted,
+            billing: state.billing,
+            vm_count: state.vm_count,
+            tests_run: state.tests_run,
+            tainted_tests: state.tainted,
             raw_objects,
             buckets,
-            fault_log: flog,
-            completeness: report,
+            fault_log: state.flog,
+            completeness: state.report,
             checkpoints,
         })
+    }
+
+    /// Phase 1 for unit `i`: its selection, the per-VM plan observers
+    /// count and, unless the unit is `done`, its VM tasks with their
+    /// paths resolved. The plan is computed for completed units too: it
+    /// is a pure function of world + config, so recomputing it keeps
+    /// observer output identical across checkpoint resumes.
+    fn prep_unit(
+        &self,
+        session: &crate::world::Session<'_>,
+        shard: &mut MetricsRegistry,
+        base_cron: &CronSchedule,
+        unit: &Unit<'w>,
+        i: usize,
+        done: bool,
+    ) -> UnitPrep<'w> {
+        shard.inc("prep.units", 1);
+        let Unit {
+            region, kind, days, ..
+        } = unit;
+        let region_city = region.city_id(&self.world.topo.cities);
+        let client = SpeedTestClient::default();
+        match kind {
+            UnitKind::Topo { budget } => {
+                let sel = topology::select(
+                    self.world,
+                    &session.paths,
+                    &region.name,
+                    region_city,
+                    *budget,
+                    &self.config.pilot,
+                );
+                shard.inc("prep.pilot_flows", sel.pilot_flows);
+                shard.inc("prep.pilot_paths", sel.pilot_paths);
+                let plan = plan::plan_region(region, &sel.servers, base_cron);
+                let vm_plan = plan
+                    .assignments
+                    .iter()
+                    .enumerate()
+                    .map(|(vm_idx, a)| {
+                        let name =
+                            format!("clasp-{}-{}-{vm_idx}", region.name, Tier::Premium.label());
+                        let assigned = a.len() as u64;
+                        (name, assigned, assigned * days * 24)
+                    })
+                    .collect();
+                let mut vms = Vec::new();
+                let mut n_vms = 0;
+                if !done {
+                    n_vms = plan.n_vms;
+                    for (vm_idx, assignment) in plan.assignments.iter().enumerate() {
+                        vms.push(VmTask {
+                            unit: i,
+                            vm_idx,
+                            n_vms: plan.n_vms,
+                            tier: Tier::Premium,
+                            pairs: self.resolve_pairs(
+                                session,
+                                &client,
+                                region,
+                                Tier::Premium,
+                                assignment,
+                            ),
+                            assignment: assignment.clone(),
+                            comp_label: region.name.to_string(),
+                            bucket_region: region.name.to_string(),
+                            method: "topo",
+                        });
+                    }
+                }
+                UnitPrep {
+                    sel: UnitSel::Topo(sel),
+                    done,
+                    n_vms,
+                    vms,
+                    vm_plan,
+                }
+            }
+            UnitKind::Diff => {
+                let sel = differential::select(
+                    self.world,
+                    &session.paths,
+                    &session.perf,
+                    &region.name,
+                    region_city,
+                    &self.config.pretest,
+                );
+                shard.inc("prep.pretest_probes", sel.pretest_probes);
+                shard.inc("prep.pretest_queue_series", sel.pretest_queue_series);
+                let servers: Vec<String> = sel.picks.iter().map(|p| p.server_id.clone()).collect();
+                let vm_plan = [Tier::Premium, Tier::Standard]
+                    .iter()
+                    .map(|tier| {
+                        let name = format!("clasp-{}-{}-0", region.name, tier.label());
+                        let assigned = servers.len() as u64;
+                        (name, assigned, assigned * days * 24)
+                    })
+                    .collect();
+                let mut vms = Vec::new();
+                if !done {
+                    for tier in [Tier::Premium, Tier::Standard] {
+                        vms.push(VmTask {
+                            unit: i,
+                            vm_idx: 0,
+                            n_vms: 1,
+                            tier,
+                            pairs: self.resolve_pairs(session, &client, region, tier, &servers),
+                            assignment: servers.clone(),
+                            comp_label: format!("{}-diff-{}", region.name, tier.label()),
+                            bucket_region: format!("{}-diff", region.name),
+                            method: "diff",
+                        });
+                    }
+                }
+                UnitPrep {
+                    sel: UnitSel::Diff(sel),
+                    done,
+                    n_vms: 0,
+                    vms,
+                    vm_plan,
+                }
+            }
+        }
     }
 
     /// Resolves the path pair for every server in `ids` (paths are
@@ -906,306 +899,326 @@ impl<'w> Campaign<'w> {
     }
 
     /// One VM's whole campaign: the hourly cron loop over its server
-    /// assignment, with fault injection and resilient recovery, writing
-    /// only into the caller's VM-local buffers. With an empty fault plan
-    /// every fault query short-circuits.
-    #[allow(clippy::too_many_arguments)]
+    /// assignment, with fault injection and resilient recovery, into
+    /// the VM-local buffers that phase 3 merges. With an empty fault
+    /// plan every fault query short-circuits. `observed` records the
+    /// per-test metrics an observer reports.
     fn run_vm_loop(
         &self,
         session: &crate::world::Session<'_>,
-        client: &SpeedTestClient,
-        cron: &CronSchedule,
-        params: &VmLoopParams<'_>,
-        vm_idx: usize,
-        assignment: &[String],
-        pairs: &PairMap<'w>,
-        bucket: &mut Bucket,
-        billing: &mut Billing,
-        tests_run: &mut u64,
-        tainted: &mut u64,
-        fplan: &FaultPlan,
-        flog: &mut FaultLog,
-        report: &mut CompletenessReport,
-        mut obs: Option<&mut MetricsRegistry>,
-    ) {
-        let &VmLoopParams {
+        base_cron: &CronSchedule,
+        unit: &Unit<'w>,
+        task: &VmTask<'w>,
+        observed: bool,
+    ) -> VmOutput {
+        let &Unit {
+            ref label,
             region,
-            n_vms,
-            tier,
-            tier_salt,
-            method,
             start,
             days,
-            comp_label,
-        } = params;
+            ..
+        } = unit;
+        let &VmTask {
+            vm_idx,
+            n_vms,
+            tier,
+            ref assignment,
+            ref pairs,
+            ref comp_label,
+            method,
+            ..
+        } = task;
+        let fplan = &self.config.fault_plan;
+        let client = SpeedTestClient::default();
+        let salt = tier_salt(tier);
+        let cron = CronSchedule {
+            budget: base_cron.budget,
+            seed: base_cron.seed ^ salt,
+        };
+        let mut out = VmOutput {
+            bucket: Bucket::new(task.bucket_region.clone()),
+            billing: Billing::new(),
+            tests_run: 0,
+            tainted: 0,
+            flog: FaultLog::new(),
+            report: CompletenessReport::new(),
+            metrics: MetricsRegistry::new(),
+        };
         let abort_policy = RetryPolicy::speedtest();
         let upload_policy = RetryPolicy::upload();
         let api_policy = RetryPolicy::api();
-        {
-            let vm_name = format!("clasp-{}-{}-{}", region.name, tier.label(), vm_idx);
-            let scope = VmScope {
-                region: &region.name,
-                vm: &vm_name,
-            };
-            let jitter_key = faultsim::name_key(&vm_name);
-            let vm_meta_key = nettools::someta::vm_key(&vm_name);
-            // The schedule only covers servers whose paths resolved;
-            // each gets one test per hour per the paper's design.
-            let resolvable = assignment
-                .iter()
-                .filter(|sid| pairs.contains_key(sid.as_str()))
-                .count() as u64;
-            report.add_expected(comp_label, resolvable * days * 24);
-            // An in-progress multi-hour outage: (fault id, end hour).
-            let mut active_outage: Option<(usize, u64)> = None;
-            let mut day_results: Vec<TestResult> = Vec::with_capacity(assignment.len() * 24);
-            let items: Vec<&str> = assignment.iter().map(String::as_str).collect();
-            for day in 0..days {
-                for hour in 0..24 {
-                    let hour_start = start + day * SECONDS_PER_DAY + hour * HOUR;
-                    let abs_hour = hour_start.hour_index();
-                    // Legacy outages (`FaultPlan::legacy_outage_rate`):
-                    // the hour is silently lost, exactly as the original
-                    // inline draw decided — but logged as ground truth.
-                    if fplan.legacy_vm_outage(
-                        self.config.seed ^ vm_idx as u64 ^ tier_salt,
+        let vm_name = format!("clasp-{}-{}-{}", region.name, tier.label(), vm_idx);
+        let scope = VmScope {
+            region: &region.name,
+            vm: &vm_name,
+        };
+        let jitter_key = faultsim::name_key(&vm_name);
+        let vm_meta_key = nettools::someta::vm_key(&vm_name);
+        // The schedule only covers servers whose paths resolved;
+        // each gets one test per hour per the paper's design.
+        let resolvable = assignment
+            .iter()
+            .filter(|sid| pairs.contains_key(sid.as_str()))
+            .count() as u64;
+        out.report.add_expected(comp_label, resolvable * days * 24);
+        // An in-progress multi-hour outage: (fault id, end hour).
+        let mut active_outage: Option<(usize, u64)> = None;
+        let mut day_results: Vec<TestResult> = Vec::with_capacity(assignment.len() * 24);
+        let items: Vec<&str> = assignment.iter().map(String::as_str).collect();
+        for day in 0..days {
+            for hour in 0..24 {
+                let hour_start = start + day * SECONDS_PER_DAY + hour * HOUR;
+                let abs_hour = hour_start.hour_index();
+                // Legacy outages (`FaultPlan::legacy_outage_rate`):
+                // the hour is silently lost, exactly as the original
+                // inline draw decided — but logged as ground truth.
+                if fplan.legacy_vm_outage(
+                    self.config.seed ^ vm_idx as u64 ^ salt,
+                    hour_start.as_secs(),
+                ) {
+                    let id = out.flog.record(
                         hour_start.as_secs(),
+                        FaultKind::CronMiss,
+                        comp_label,
+                        &vm_name,
+                        "legacy outage_rate",
+                    );
+                    out.flog.mark_lost(id, resolvable);
+                    continue;
+                }
+                // An outage window in progress eats the whole hour;
+                // at its end the VM must be brought back, which the
+                // quota and the control-plane API can both delay.
+                if let Some((id, until)) = active_outage {
+                    if abs_hour < until {
+                        out.flog.mark_lost(id, resolvable);
+                        continue;
+                    }
+                    if !cloudsim::quota::Quota::default().allows_provisioning(
+                        n_vms,
+                        &region.name,
+                        abs_hour,
+                        fplan,
                     ) {
-                        let id = flog.record(
+                        let qid = out.flog.record(
+                            hour_start.as_secs(),
+                            FaultKind::QuotaExhausted,
+                            comp_label,
+                            &vm_name,
+                            "restart blocked by quota",
+                        );
+                        out.flog.mark_lost(qid, resolvable);
+                        active_outage = Some((qid, abs_hour + 1));
+                        continue;
+                    }
+                    if fplan.api_error("restart_vm", hour_start.as_secs(), 0) {
+                        let aid = out.flog.record(
+                            hour_start.as_secs(),
+                            FaultKind::ApiError,
+                            comp_label,
+                            &vm_name,
+                            "restart_vm",
+                        );
+                        let recovered = (1..api_policy.max_attempts).find(|&attempt| {
+                            !fplan.api_error("restart_vm", hour_start.as_secs(), attempt)
+                        });
+                        match recovered {
+                            Some(attempt) => {
+                                out.flog.mark_recovered(
+                                    aid,
+                                    attempt,
+                                    hour_start.as_secs()
+                                        + api_policy.total_delay(attempt + 1, jitter_key),
+                                );
+                                active_outage = None;
+                            }
+                            None => {
+                                out.flog.mark_lost(aid, resolvable);
+                                active_outage = Some((aid, abs_hour + 1));
+                                continue;
+                            }
+                        }
+                    } else {
+                        active_outage = None;
+                    }
+                }
+                // New VM outages (preemption / crash loop) starting
+                // this hour: logged once, then the window is walked
+                // hour by hour so the lost toll is exact even when
+                // it crosses the campaign end.
+                if let Some((kind, dur)) = fplan.vm_fault_starting(scope, abs_hour) {
+                    let id = out.flog.record(
+                        hour_start.as_secs(),
+                        kind,
+                        comp_label,
+                        &vm_name,
+                        format!("{dur}h outage"),
+                    );
+                    out.flog.mark_lost(id, resolvable);
+                    active_outage = Some((id, abs_hour + dur));
+                    continue;
+                }
+                // Cron faults: a skewed tick runs late; a missed tick
+                // is re-fired by the watchdog (each re-fire draws
+                // independently) or, past the retry budget, the hour
+                // is gracefully skipped.
+                let late = match fplan.cron_effect(scope, abs_hour, 0) {
+                    CronEffect::OnTime => 0,
+                    CronEffect::Skew(s) => {
+                        let id = out.flog.record(
+                            hour_start.as_secs(),
+                            FaultKind::CronSkew,
+                            comp_label,
+                            &vm_name,
+                            format!("late {s}s"),
+                        );
+                        out.flog.mark_recovered(id, 0, hour_start.as_secs() + s);
+                        s
+                    }
+                    CronEffect::Miss => {
+                        const WATCHDOG_RETRIES: u32 = 2;
+                        const WATCHDOG_DELAY_S: u64 = 600;
+                        let id = out.flog.record(
                             hour_start.as_secs(),
                             FaultKind::CronMiss,
                             comp_label,
                             &vm_name,
-                            "legacy outage_rate",
+                            "tick missed",
                         );
-                        flog.mark_lost(id, resolvable);
+                        let refired = (1..=WATCHDOG_RETRIES).find(|&attempt| {
+                            !matches!(
+                                fplan.cron_effect(scope, abs_hour, attempt),
+                                CronEffect::Miss
+                            )
+                        });
+                        let Some(attempt) = refired else {
+                            out.flog.mark_lost(id, resolvable);
+                            continue;
+                        };
+                        let delay = attempt as u64 * WATCHDOG_DELAY_S;
+                        out.flog
+                            .mark_recovered(id, attempt, hour_start.as_secs() + delay);
+                        delay
+                    }
+                };
+                // A late tick runs the nominal hour's shuffled order,
+                // every slot `late` seconds later.
+                for Slot {
+                    item,
+                    start: nominal,
+                } in cron.hour_slots(hour_start, &items)
+                {
+                    let at = nominal + late;
+                    let Some((pair, server)) = pairs.get(item) else {
                         continue;
-                    }
-                    // An outage window in progress eats the whole hour;
-                    // at its end the VM must be brought back, which the
-                    // quota and the control-plane API can both delay.
-                    if let Some((id, until)) = active_outage {
-                        if abs_hour < until {
-                            flog.mark_lost(id, resolvable);
-                            continue;
-                        }
-                        if !cloudsim::quota::Quota::default().allows_provisioning(
-                            n_vms,
-                            &region.name,
-                            abs_hour,
-                            fplan,
-                        ) {
-                            let qid = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::QuotaExhausted,
-                                comp_label,
-                                &vm_name,
-                                "restart blocked by quota",
-                            );
-                            flog.mark_lost(qid, resolvable);
-                            active_outage = Some((qid, abs_hour + 1));
-                            continue;
-                        }
-                        if fplan.api_error("restart_vm", hour_start.as_secs(), 0) {
-                            let aid = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::ApiError,
-                                comp_label,
-                                &vm_name,
-                                "restart_vm",
-                            );
-                            let recovered = (1..api_policy.max_attempts).find(|&attempt| {
-                                !fplan.api_error("restart_vm", hour_start.as_secs(), attempt)
-                            });
-                            match recovered {
-                                Some(attempt) => {
-                                    flog.mark_recovered(
-                                        aid,
-                                        attempt,
-                                        hour_start.as_secs()
-                                            + api_policy.total_delay(attempt + 1, jitter_key),
-                                    );
-                                    active_outage = None;
-                                }
-                                None => {
-                                    flog.mark_lost(aid, resolvable);
-                                    active_outage = Some((aid, abs_hour + 1));
-                                    continue;
-                                }
-                            }
-                        } else {
-                            active_outage = None;
-                        }
-                    }
-                    // New VM outages (preemption / crash loop) starting
-                    // this hour: logged once, then the window is walked
-                    // hour by hour so the lost toll is exact even when
-                    // it crosses the campaign end.
-                    if let Some((kind, dur)) = fplan.vm_fault_starting(scope, abs_hour) {
-                        let id = flog.record(
-                            hour_start.as_secs(),
-                            kind,
+                    };
+                    // Mid-test aborts retry within the slot with
+                    // backed-off restarts; a slot that never
+                    // completes loses one server-hour.
+                    let mut result = client.run_test_faulted(
+                        &session.perf,
+                        pair,
+                        server,
+                        at,
+                        self.config.seed ^ salt,
+                        fplan,
+                        scope,
+                        0,
+                    );
+                    if result.is_none() {
+                        let id = out.flog.record(
+                            at.as_secs(),
+                            FaultKind::TestAbort,
                             comp_label,
                             &vm_name,
-                            format!("{dur}h outage"),
+                            item,
                         );
-                        flog.mark_lost(id, resolvable);
-                        active_outage = Some((id, abs_hour + dur));
-                        continue;
-                    }
-                    // Cron faults: a skewed tick runs late; a missed tick
-                    // is re-fired by the watchdog (each re-fire draws
-                    // independently) or, past the retry budget, the hour
-                    // is gracefully skipped.
-                    let mut effect = fplan.cron_effect(scope, abs_hour, 0);
-                    match effect {
-                        CronEffect::Miss => {
-                            const WATCHDOG_RETRIES: u32 = 2;
-                            const WATCHDOG_DELAY_S: u64 = 600;
-                            let id = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::CronMiss,
-                                comp_label,
-                                &vm_name,
-                                "tick missed",
-                            );
-                            let refired = (1..=WATCHDOG_RETRIES).find(|&attempt| {
-                                !matches!(
-                                    fplan.cron_effect(scope, abs_hour, attempt),
-                                    CronEffect::Miss
-                                )
-                            });
-                            match refired {
-                                Some(attempt) => {
-                                    let delay = attempt as u64 * WATCHDOG_DELAY_S;
-                                    flog.mark_recovered(id, attempt, hour_start.as_secs() + delay);
-                                    effect = CronEffect::Skew(delay);
-                                }
-                                None => {
-                                    flog.mark_lost(id, resolvable);
-                                    continue;
-                                }
+                        for attempt in 1..abort_policy.max_attempts {
+                            let t_retry = at + abort_policy.total_delay(attempt + 1, jitter_key);
+                            if let Some(r) = client.run_test_faulted(
+                                &session.perf,
+                                pair,
+                                server,
+                                t_retry,
+                                self.config.seed ^ salt,
+                                fplan,
+                                scope,
+                                attempt,
+                            ) {
+                                out.flog.mark_recovered(id, attempt, t_retry.as_secs());
+                                result = Some(r);
+                                break;
                             }
                         }
-                        CronEffect::Skew(s) => {
-                            let id = flog.record(
-                                hour_start.as_secs(),
-                                FaultKind::CronSkew,
-                                comp_label,
-                                &vm_name,
-                                format!("late {s}s"),
-                            );
-                            flog.mark_recovered(id, 0, hour_start.as_secs() + s);
-                        }
-                        CronEffect::OnTime => {}
-                    }
-                    let slots = cron
-                        .hour_slots_with_effect(hour_start, &items, effect)
-                        .expect("Miss handled above");
-                    for slot in slots {
-                        let Some((pair, server)) = pairs.get(slot.item) else {
-                            continue;
-                        };
-                        // Mid-test aborts retry within the slot with
-                        // backed-off restarts; a slot that never
-                        // completes loses one server-hour.
-                        let mut result = client.run_test_faulted(
-                            &session.perf,
-                            pair,
-                            server,
-                            slot.start,
-                            self.config.seed ^ tier_salt,
-                            fplan,
-                            scope,
-                            0,
-                        );
                         if result.is_none() {
-                            let id = flog.record(
-                                slot.start.as_secs(),
-                                FaultKind::TestAbort,
-                                comp_label,
-                                &vm_name,
-                                slot.item,
-                            );
-                            for attempt in 1..abort_policy.max_attempts {
-                                let t_retry =
-                                    slot.start + abort_policy.total_delay(attempt + 1, jitter_key);
-                                if let Some(r) = client.run_test_faulted(
-                                    &session.perf,
-                                    pair,
-                                    server,
-                                    t_retry,
-                                    self.config.seed ^ tier_salt,
-                                    fplan,
-                                    scope,
-                                    attempt,
-                                ) {
-                                    flog.mark_recovered(id, attempt, t_retry.as_secs());
-                                    result = Some(r);
-                                    break;
-                                }
-                            }
-                            if result.is_none() {
-                                flog.mark_lost(id, 1);
-                            }
+                            out.flog.mark_lost(id, 1);
                         }
-                        let Some(r) = result else {
-                            continue;
-                        };
-                        if let Some(m) = obs.as_deref_mut() {
-                            m.observe("test.download_mbps", MBPS_BOUNDS, r.download_mbps);
-                            m.observe("test.upload_mbps", MBPS_BOUNDS, r.upload_mbps);
-                            m.observe("test.latency_ms", LATENCY_BOUNDS, r.latency_ms);
-                        }
-                        // Health check (someta): only the CPU reading of
-                        // the metadata record feeds the taint decision,
-                        // so compute just that — same value, none of the
-                        // record's string allocations.
-                        let cpu =
-                            nettools::someta::cpu_util(vm_meta_key, slot.start, r.download_mbps);
-                        if cpu >= nettools::someta::CPU_TAINT_THRESHOLD {
-                            *tainted += 1;
-                        }
-                        // Billing: upload data + download ACK overhead is
-                        // egress; download data is (free) ingress.
-                        let up_bytes =
-                            (r.upload_mbps / 8.0 * server.platform.transfer_seconds() * 1e6) as u64;
-                        let down_bytes = (r.download_mbps / 8.0
-                            * server.platform.transfer_seconds()
-                            * 1e6) as u64;
-                        billing.record_transfer(
-                            tier == Tier::Premium,
-                            up_bytes + down_bytes / 50,
-                            down_bytes,
-                        );
-                        *tests_run += 1;
-                        day_results.push(r);
                     }
-                }
-                // End of day: upload the raw batch with bounded retries.
-                // Only batches that actually land in the bucket count as
-                // collected — a lost batch loses its server-hours.
-                if !day_results.is_empty() {
-                    let n = day_results.len() as u64;
-                    let uploaded = pipeline::upload_batch_resilient(
-                        bucket,
-                        &region.name,
-                        method,
-                        &vm_name,
-                        &day_results,
-                        start + (day + 1) * SECONDS_PER_DAY,
-                        fplan,
-                        &upload_policy,
-                        flog,
-                        comp_label,
+                    let Some(r) = result else {
+                        continue;
+                    };
+                    if observed {
+                        let m = &mut out.metrics;
+                        m.observe("test.download_mbps", MBPS_BOUNDS, r.download_mbps);
+                        m.observe("test.upload_mbps", MBPS_BOUNDS, r.upload_mbps);
+                        m.observe("test.latency_ms", LATENCY_BOUNDS, r.latency_ms);
+                    }
+                    // Health check (someta): only the CPU reading of
+                    // the metadata record feeds the taint decision,
+                    // so compute just that — same value, none of the
+                    // record's string allocations.
+                    let cpu = nettools::someta::cpu_util(vm_meta_key, at, r.download_mbps);
+                    if cpu >= nettools::someta::CPU_TAINT_THRESHOLD {
+                        out.tainted += 1;
+                    }
+                    // Billing: upload data + download ACK overhead is
+                    // egress; download data is (free) ingress.
+                    let up_bytes =
+                        (r.upload_mbps / 8.0 * server.platform.transfer_seconds() * 1e6) as u64;
+                    let down_bytes =
+                        (r.download_mbps / 8.0 * server.platform.transfer_seconds() * 1e6) as u64;
+                    out.billing.record_transfer(
+                        tier == Tier::Premium,
+                        up_bytes + down_bytes / 50,
+                        down_bytes,
                     );
-                    if uploaded.is_some() {
-                        report.add_collected(comp_label, n);
-                    }
-                    day_results.clear();
+                    out.tests_run += 1;
+                    day_results.push(r);
                 }
             }
+            // End of day: upload the raw batch with bounded retries.
+            // Only batches that actually land in the bucket count as
+            // collected — a lost batch loses its server-hours.
+            if !day_results.is_empty() {
+                let n = day_results.len() as u64;
+                let uploaded = pipeline::upload_batch_resilient(
+                    &mut out.bucket,
+                    &region.name,
+                    method,
+                    &vm_name,
+                    &day_results,
+                    start + (day + 1) * SECONDS_PER_DAY,
+                    fplan,
+                    &upload_policy,
+                    &mut out.flog,
+                    comp_label,
+                );
+                if uploaded.is_some() {
+                    out.report.add_collected(comp_label, n);
+                }
+                day_results.clear();
+            }
         }
+        if observed {
+            let m = &mut out.metrics;
+            m.inc(
+                &format!("vm.{label}/{vm_name}.tests_executed"),
+                out.tests_run,
+            );
+            m.inc("exec.tests_executed", out.tests_run);
+            m.inc("exec.tests_tainted", out.tainted);
+        }
+        out
     }
 }
 
@@ -1228,28 +1241,6 @@ fn record_collected(obs: &Observer, label: &str, key: &str, points: u64) {
             .unwrap_or("unknown");
         m.inc(&format!("vm.{label}/{vm}.tests_collected"), points);
     });
-}
-
-/// Records the plan's link faults into the ground-truth log, once per
-/// campaign: fresh runs append them before any unit executes (so ids
-/// precede all VM-loop faults in the merged order); resumed runs restore them from the checkpointed
-/// log instead. Link faults degrade paths rather than eating VM-hours,
-/// so they are marked recovered at window end and contribute no lost
-/// server-hours to completeness reconciliation.
-fn record_link_faults(fplan: &FaultPlan, fresh: bool, flog: &mut FaultLog) {
-    if !fresh {
-        return;
-    }
-    for lf in &fplan.link_faults {
-        let id = flog.record(
-            lf.start_hour * 3600,
-            lf.kind,
-            "interconnect",
-            &format!("link-{}", lf.link),
-            format!("{}h, magnitude {}", lf.duration_hours, lf.magnitude),
-        );
-        flog.mark_recovered(id, 0, (lf.start_hour + lf.duration_hours) * 3600);
-    }
 }
 
 /// Per-tier crontab/RNG salt: the premium and standard VMs of a
@@ -1360,46 +1351,6 @@ fn billing_from_json(v: &serde_json::Value) -> Result<Billing, String> {
     billing.vm_hours_n2 = f("vm_hours_n2")?;
     billing.storage_byte_hours = f("storage_byte_hours")?;
     Ok(billing)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_checkpoint(
-    completed: &[String],
-    billing: &Billing,
-    vm_count: usize,
-    tests_run: u64,
-    tainted: u64,
-    flog: &FaultLog,
-    report: &CompletenessReport,
-    raw_store: &[(String, std::sync::Arc<serde_json::Value>)],
-) -> serde_json::Value {
-    use serde_json::{Map, Value};
-    let mut counters = Map::new();
-    counters.insert("vm_count".into(), vm_count.into());
-    counters.insert("tests_run".into(), tests_run.into());
-    counters.insert("tainted".into(), tainted.into());
-    let mut m = Map::new();
-    m.insert(
-        "completed".into(),
-        Value::Array(completed.iter().map(|c| c.clone().into()).collect()),
-    );
-    m.insert("counters".into(), Value::Object(counters));
-    m.insert("billing".into(), billing_to_json(billing));
-    m.insert("fault_log".into(), flog.to_json());
-    m.insert("completeness".into(), report.to_json());
-    // Shared, not cloned: each checkpoint embeds the same snapshot
-    // subtrees, so the serialized bytes are identical to a deep copy
-    // while the in-memory cost per checkpoint stays O(units).
-    m.insert(
-        "raw".into(),
-        Value::Array(
-            raw_store
-                .iter()
-                .map(|(_, snap)| Value::Shared(snap.clone()))
-                .collect(),
-        ),
-    );
-    Value::Object(m)
 }
 
 #[cfg(test)]
@@ -1985,5 +1936,93 @@ mod tests {
             serde_json::to_string(via_config.checkpoints.last().unwrap()),
             serde_json::to_string(via_builder.checkpoints.last().unwrap()),
         );
+    }
+
+    #[test]
+    fn cron_faults_shift_the_hour_keeping_its_order() {
+        // A skewed tick runs `s` seconds late and a tick the watchdog
+        // re-fires at attempt `a` runs `a × 600` seconds late; either
+        // way every test keeps its place in the nominal hour's order.
+        let world = World::tiny(121);
+        let mut cfg = CampaignConfig::small(121);
+        cfg.days = 2;
+        cfg.diff_days = 1;
+        let mut skew = FaultPlan::none();
+        skew.rates.cron_skew = 1.0;
+        skew.rates.max_skew_s = 1;
+        let mut miss = FaultPlan::none();
+        miss.scheduled.push(faultsim::ScheduledFault {
+            kind: FaultKind::CronMiss,
+            start_hour: 0,
+            duration_hours: 24 * cfg.days,
+            region: None,
+            vm: None,
+        });
+        let run = |plan: FaultPlan| {
+            let mut c = cfg.clone();
+            c.fault_plan = plan;
+            let mut result = Campaign::new(&world, c).runner().run().unwrap();
+            assert_eq!(result.completeness.total_missing(), 0);
+            let snap = result.db.snapshot();
+            let times = |s: &tsdb::SeriesSnap| s.samples().iter().map(|(t, _)| *t).collect();
+            snap.series()
+                .map(|s| (s.key().to_string(), times(s)))
+                .collect::<Vec<(String, Vec<u64>)>>()
+        };
+        let on_time = run(FaultPlan::none());
+        assert!(!on_time.is_empty());
+        for (plan, late) in [(skew, 1), (miss, 600)] {
+            let shifted: Vec<_> = on_time
+                .iter()
+                .map(|(key, times)| (key.clone(), times.iter().map(|t| t + late).collect()))
+                .collect();
+            assert_eq!(run(plan), shifted, "{late} s late");
+        }
+    }
+
+    #[test]
+    fn resume_without_a_units_raw_data_fails_before_any_work() {
+        use serde_json::Value;
+        let world = World::tiny(121);
+        let campaign = Campaign::new(&world, CampaignConfig::small(121));
+        let full = campaign.runner().run().unwrap();
+        let mut ckpt =
+            serde_json::from_str(&serde_json::to_string(full.checkpoints.last().unwrap())).unwrap();
+        if let Value::Object(m) = &mut ckpt {
+            if let Some(Value::Array(raw)) = m.get_mut("raw") {
+                raw.pop();
+            }
+        }
+        let mut engine = campaign.stream_engine(clasp_stream::EngineConfig::paper());
+        let err = campaign
+            .runner()
+            .resume_from(&ckpt)
+            .streaming(&mut engine)
+            .run()
+            .err()
+            .expect("a completed unit without its raw data resumed");
+        assert!(err.contains("\"diff:europe-west1\""), "{err}");
+        assert_eq!(engine.events_seen(), 0, "the failed run fed the engine");
+    }
+
+    #[test]
+    fn state_round_trips_at_every_cut() {
+        let world = World::tiny(121);
+        let mut cfg = CampaignConfig::small(121);
+        cfg.fault_plan = FaultPlan::uniform(7, 0.02);
+        let obs = Observer::new();
+        let full = Campaign::new(&world, cfg.clone())
+            .runner()
+            .observer(&obs)
+            .run()
+            .unwrap();
+        for c in &full.checkpoints {
+            let text = serde_json::to_string(c);
+            let parsed = serde_json::from_str(&text).unwrap();
+            for from in [c, &parsed] {
+                let state = CampaignState::from_checkpoint(Some(from), &cfg.fault_plan).unwrap();
+                assert_eq!(serde_json::to_string(&state.checkpoint(true)), text);
+            }
+        }
     }
 }

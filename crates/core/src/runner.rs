@@ -80,8 +80,11 @@ impl<'c, 'w> Runner<'c, 'w> {
     }
 
     /// Executes the campaign. Fails on a region the world's provider
-    /// does not define, on a malformed checkpoint, or on a streaming
-    /// engine that has already seen rows (it would count them twice).
+    /// does not define, on a malformed checkpoint (one naming a
+    /// completed unit without its raw snapshot included), or on a
+    /// streaming engine that has already seen rows (it would count them
+    /// twice). All three are checked before any work starts, so a
+    /// failed run leaves an attached engine untouched.
     pub fn run(mut self) -> Result<CampaignResult, String> {
         let seen = self.stream.as_deref().map_or(0, |e| e.events_seen());
         if seen != 0 {
